@@ -15,9 +15,9 @@ Honest measurement notes:
   reported as INVALID, not as a speedup;
 * wall-clock on shared machines drifts: the committed baseline carries
   the ratio context, and ``--tuning-baseline`` measures the unoptimized
-  path (``SimTuning.baseline()``: wheel, fusion, drain, and pooling all
-  off) back-to-back in the same process, which is the fairest
-  same-machine comparison;
+  path (``SimTuning.baseline()``: wheel, fusion and pooling all off)
+  back-to-back in the same process, which is the fairest same-machine
+  comparison;
 * the first run of a workload pays one-time distribution setup costs;
   ``--repeats N`` (default 3) keeps the best, which is the standard
   low-noise estimator for deterministic workloads.
@@ -64,30 +64,23 @@ PROTOCOLS = ("phost", "pfabric", "fastpass", "dctcp")
 SIZE_TO_SCALE = {"small": "tiny", "medium": "bench", "large": "full"}
 
 
-def _instances(size: str, backend: str = "pure"):
+def _instances(size: str):
     """Pinned benchmark instances: name -> zero-arg runner.
 
     Each runner returns ``(wall_excluded_result, digest, events, pkts)``.
-    ``backend`` selects the inner-loop implementation (digest-inert by
-    contract; the A/B mode asserts that).
     """
     scale = SIZE_TO_SCALE[size]
     preset = SCALES[scale]
-    tuning = SimTuning(backend=backend)
     out = {}
     for proto in PROTOCOLS:
 
         def run_fig3(proto=proto):
-            res = run_experiment(
-                make_spec(proto, "websearch", scale, seed=42).variant(tuning=tuning)
-            )
+            res = run_experiment(make_spec(proto, "websearch", scale, seed=42))
             pkts = res.data_pkts_injected + res.control_pkts_sent
             return res, run_digest(res), res.events_processed, pkts
 
         def run_fig5(proto=proto):
-            res = run_experiment(
-                make_spec(proto, "datamining", scale, seed=42).variant(tuning=tuning)
-            )
+            res = run_experiment(make_spec(proto, "datamining", scale, seed=42))
             pkts = res.data_pkts_injected + res.control_pkts_sent
             return res, run_digest(res), res.events_processed, pkts
 
@@ -99,7 +92,6 @@ def _instances(size: str, backend: str = "pure"):
                 n_requests=preset.incast_requests,
                 topology=preset.topology,
                 seed=42,
-                tuning=tuning,
             )
             return res, incast_digest(res), None, None
 
@@ -116,11 +108,7 @@ def _instances(size: str, backend: str = "pure"):
                 res = run_experiment(
                     make_spec(proto, "websearch", scale, seed=42).variant(
                         stability_samples=0,
-                        tuning=SimTuning(
-                            backend=backend,
-                            shards=4,
-                            shard_transport="processes",
-                        ),
+                        tuning=SimTuning(shards=4, shard_transport="processes"),
                     )
                 )
                 pkts = res.data_pkts_injected + res.control_pkts_sent
@@ -220,14 +208,6 @@ def main(argv=None) -> int:
     ap.add_argument("--scale", choices=("small", "medium", "large"), default="small")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument(
-        "--backend",
-        choices=("pure", "compiled", "both"),
-        default="pure",
-        help="inner-loop backend to time; 'both' times pure and compiled "
-        "back-to-back and fails if their digests differ (falls back to "
-        "pure-only with a warning when no compiled extension imports)",
-    )
-    ap.add_argument(
         "--instances",
         default=None,
         help="comma-separated subset (e.g. fig3-phost,fig9c-pfabric)",
@@ -271,26 +251,7 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
-    backend = args.backend
-    if backend in ("compiled", "both"):
-        from repro.sim.backend import backend_info
-
-        info = backend_info()
-        if not info["compiled_available"]:
-            print(
-                "WARNING: --backend "
-                f"{backend} requested but no compiled extension imports; "
-                "running pure only. Build one with: "
-                "python scripts/build_backend.py",
-                file=sys.stderr,
-            )
-            backend = "pure"
-        else:
-            print(f"compiled backend: {info['source']}")
-
-    primary = "compiled" if backend == "compiled" else "pure"
-    runners = _instances(args.scale, primary)
-    ab_runners = _instances(args.scale, "compiled") if backend == "both" else {}
+    runners = _instances(args.scale)
     if args.instances:
         wanted = args.instances.split(",")
         unknown = [w for w in wanted if w not in runners]
@@ -307,13 +268,6 @@ def main(argv=None) -> int:
         # Captured before this run is appended, so --check compares
         # against the *previous* stored report.
         ledger_baseline = ledger.latest_bench(args.scale)
-        # Wall clocks only compare within one backend: a compiled run
-        # in the ledger must not make a pure run look like a regression.
-        if (
-            ledger_baseline is not None
-            and ledger_baseline.get("backend", "pure") != primary
-        ):
-            ledger_baseline = None
 
     baseline = (
         json.loads(BASELINE_PATH.read_text()) if BASELINE_PATH.exists() else {}
@@ -340,7 +294,6 @@ def main(argv=None) -> int:
         "date": datetime.date.today().isoformat(),
         "scale": args.scale,
         "repeats": args.repeats,
-        "backend": backend,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "instances": {},
@@ -350,18 +303,6 @@ def main(argv=None) -> int:
     for name, runner in runners.items():
         wall, result, digest, events, pkts = _time_runner(runner, args.repeats)
         row = {"wall_seconds": round(wall, 4), "digest": digest}
-        if name in ab_runners:
-            c_wall, _, c_digest, _, _ = _time_runner(
-                ab_runners[name], args.repeats
-            )
-            row["compiled_wall_seconds"] = round(c_wall, 4)
-            row["compiled_speedup"] = round(wall / c_wall, 3)
-            if c_digest != digest:
-                row["compiled_digest"] = c_digest
-                failures.append(
-                    f"{name}: compiled backend digest differs from pure "
-                    "(behaviour drift — the compiled core is broken)"
-                )
         if ledger is not None and hasattr(result, "spec"):
             # fig3/fig5 rows are ExperimentResults; store them content-
             # addressed so dashboards/diffs can consume bench runs too.
@@ -395,8 +336,6 @@ def main(argv=None) -> int:
             row["speedup_vs_tuning_baseline"] = round(off / wall, 3)
         report["instances"][name] = row
         extra = ""
-        if "compiled_speedup" in row:
-            extra += f"  {row['compiled_speedup']:.2f}x compiled"
         if "vs_baseline" in row:
             extra += f"  {row['vs_baseline']:.2f}x vs committed baseline"
         if "speedup_vs_tuning_baseline" in row:

@@ -107,17 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run-size preset (default: bench)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("pure", "compiled", "auto"),
-        help=(
-            "inner-loop backend for --run/--sweep/--replay (SimTuning."
-            "backend): 'pure' (default), 'compiled' (built extension; "
-            "warns and falls back if absent), or 'auto'.  Digest-inert "
-            "by contract — only wall-clock changes"
-        ),
-    )
-    parser.add_argument(
         "--shards",
         default=None,
         metavar="N|auto|off",
@@ -558,11 +547,9 @@ def _list_dataplanes(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backend_variant(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    """Apply ``--backend``/``--shards`` onto the spec's tuning."""
+def _shard_variant(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
+    """Apply ``--shards``/``--shard-transport`` onto the spec's tuning."""
     changes: dict = {}
-    if getattr(args, "backend", None) is not None:
-        changes["backend"] = args.backend
     shards = getattr(args, "shards", None)
     if shards is not None:
         changes["shards"] = shards if shards in ("auto", "off") else int(shards)
@@ -596,7 +583,7 @@ def _run_single(args: argparse.Namespace) -> int:
         faults=_fault_plan(args),
         **workload_changes,
     )
-    result = run_experiment(_backend_variant(spec, args))
+    result = run_experiment(_shard_variant(spec, args))
     _emit_result(result, args.json)
     _handle_telemetry(result, args)
     _store_result(result, args)
@@ -625,7 +612,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         except TypeError:
             print(f"error: ExperimentSpec has no field {field_name!r}", file=sys.stderr)
             return 2
-        result = run_experiment(_backend_variant(spec, args))
+        result = run_experiment(_shard_variant(spec, args))
         table.add_row(
             **{
                 field_name: value,
@@ -657,7 +644,7 @@ def _run_replay(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     flows = load_flows(args.replay, n_hosts=preset.topology.n_hosts)
-    result = run_flow_list(_backend_variant(spec, args), flows)
+    result = run_flow_list(_shard_variant(spec, args), flows)
     _emit_result(result, args.json)
     _handle_telemetry(result, args)
     _store_result(result, args)

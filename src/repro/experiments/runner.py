@@ -131,15 +131,9 @@ def build_simulation(
     loops and journaling subclasses while reusing all of this wiring.
     """
     tuning = spec.tuning if spec.tuning is not None else SimTuning()
-    from repro.sim.backend import resolve_backend
-
-    backend = resolve_backend(tuning.backend)
     if env is None:
-        env = EventLoop(timer_resolution=tuning.wheel_resolution)
+        env = EventLoop()
     env.timer_wheel_enabled = tuning.timer_wheel
-    env.drain_enabled = tuning.inline_drain
-    env.batch_dispatch = tuning.batch_dispatch
-    backend.apply(env)
     rng = SeededRng(spec.seed)
     proto = get_protocol(spec.protocol)
     topo = spec.with_topology_buffer()
@@ -150,10 +144,6 @@ def build_simulation(
     if fabric_cls is None:
         fabric_cls = FatTreeFabric if isinstance(topo, FatTreeConfig) else Fabric
     binding, switch_qf, host_qf = _resolve_dataplane(spec, proto, tuning)
-    # A compiled backend may substitute its queue class for exact
-    # PriorityQueue products (subclassed/tapped queues pass through).
-    switch_qf = backend.wrap_queue_factory(switch_qf)
-    host_qf = backend.wrap_queue_factory(host_qf)
     fabric = fabric_cls(
         env,
         topo,
@@ -173,10 +163,6 @@ def build_simulation(
         ctx.config = config
     else:
         ctx.config = proto.build_config(ctx)
-    if getattr(ctx.config, "use_timer_wheel", None) is False:
-        # Protocol-config escape hatch: force pure-heap timers for this
-        # run without touching the spec-level tuning.
-        env.timer_wheel_enabled = False
     ctx.shared = proto.build_shared(ctx)
     proto.install_agents(ctx)
     if spec.faults is not None and not spec.faults.is_empty():

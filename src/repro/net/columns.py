@@ -5,8 +5,8 @@
 integer *slot* — across a set of preallocated parallel ``array``
 columns (one per scalar :class:`~repro.net.packet.Packet` field, plus a
 plain list for the flow reference).  The freelist then recycles
-integers, not objects, and compiled backends can address packet state
-by index through the buffer protocol without touching a single Python
+integers, not objects, and bulk consumers can address packet state by
+index through the buffer protocol without touching a single Python
 object.
 
 ``Packet`` objects do not disappear: protocols, tracers, and queues all
@@ -25,7 +25,7 @@ Column-authority contract (what the tests pin):
   are mutated on the view by protocol/dataplane code mid-flight (the
   pure hot path must not pay a column write per hop); the *view* is
   authoritative and :meth:`writeback` syncs a slot's dynamic columns on
-  demand (analysis boundaries, compiled-backend handoff).
+  demand (analysis boundaries, bulk export).
 
 :meth:`reset` restores both representations to the fresh state, so a
 recycled slot is indistinguishable from a new one — the same guarantee
@@ -42,8 +42,8 @@ from repro.net.packet import Flow, Packet, PacketType
 __all__ = ["PacketColumns"]
 
 #: Column name -> array typecode.  Everything integral is int64 (or
-#: int8 for the two tiny enums) so a compiled backend sees fixed-width
-#: fields; floats are float64.
+#: int8 for the two tiny enums) so buffer-protocol consumers see
+#: fixed-width fields; floats are float64.
 COLUMN_TYPECODES = (
     ("ptype", "b"),
     ("fid", "q"),
@@ -225,11 +225,10 @@ class PacketColumns:
         return out
 
     # ------------------------------------------------------------------
-    # Bulk / compiled-backend access
+    # Bulk access
     # ------------------------------------------------------------------
     def buffer(self, name: str) -> memoryview:
-        """A writable memoryview of one column (buffer-protocol seam
-        for compiled backends)."""
+        """A writable memoryview of one column (buffer-protocol seam)."""
         return memoryview(getattr(self, name))
 
     def as_arrays(self) -> Dict[str, object]:

@@ -5,7 +5,7 @@ object per wire packet.  The pool recycles them — but since PR 9 the
 thing recycled is an integer *slot* in a preallocated struct-of-arrays
 :class:`~repro.net.columns.PacketColumns` store, not a Packet object:
 the freelist is a stack of ints, each slot lazily materializes one
-cached ``Packet`` view on first use, and compiled backends can address
+cached ``Packet`` view on first use, and bulk consumers can address
 packet state by index without touching Python objects.  Protocol code
 is oblivious: acquire helpers still hand out ``Packet``s, and a reused
 view is indistinguishable from a fresh packet.

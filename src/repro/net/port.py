@@ -17,15 +17,12 @@ Control packets pushed into the queue always win over pulled data
 because the queue is drained first.
 
 Hot-path notes (see docs/PERFORMANCE.md): each packet-hop costs two
-simulated instants — serialization done at the transmitter, arrival at
+simulated events — serialization done at the transmitter, arrival at
 the receiver — but only *one* freshly allocated heap entry.  When the
 serialization event fires, its just-popped entry is re-stamped in place
-as the propagation/arrival event (``fused`` mode), and when the port has
-back-to-back departures with nothing else due in between,
-``EventLoop.try_advance`` lets the drain loop run the next serialization
-inline without re-entering the scheduler at all.  Both shortcuts
-preserve the exact ``(time, seq)`` event order of the naive path, so
-run digests are byte-identical with fusion on or off.
+as the propagation/arrival event (``fused`` mode).  Sequence numbers
+are drawn in the order of the naive path, so the ``(time, seq)`` event
+order — and every run digest — is byte-identical with fusion on or off.
 """
 
 from __future__ import annotations
@@ -98,8 +95,8 @@ class Port:
         # what the buffer actually held).
         self.max_qlen_bytes = 0
         self.max_qlen_pkts = 0
-        # Fused transmission (entry reuse + inline drain); turn off to
-        # force the classic two-schedules-per-hop path.
+        # Fused transmission (heap-entry reuse); turn off to force the
+        # classic two-schedules-per-hop path.
         self.fused = True
         self._tx_entry: Optional[list] = None  # pending serialization event
 
@@ -174,118 +171,59 @@ class Port:
         env._live += 1
 
     def _tx_done(self, pkt: Packet) -> None:
+        self.bytes_sent += pkt.size
+        self.pkts_sent += 1
+        peer = self.peer
         if not self.fused:
-            self.bytes_sent += pkt.size
-            self.pkts_sent += 1
-            peer = self.peer
             if peer is not None:
                 self.env.schedule(self.prop_delay, peer.receive, pkt)
             self.busy = False
             self._start_next()
             return
         env = self.env
-        queue = self.queue
-        pull = self.pull_source
-        peer = self.peer
-        recv = None if peer is None else peer.receive
-        prop = self.prop_delay
-        rate = self.rate_bps
         heap = env._heap
-        # `entry` is a recyclable event list: initially the serialization
-        # event that just fired (already popped and marked fired by the
-        # loop), later whichever pushed event came back to us.  Reusing
-        # it saves one list allocation per packet per hop.
+        # `entry` is the serialization event that just fired (already
+        # popped and marked fired by the loop).  Re-stamping it as the
+        # arrival event saves one list allocation per packet per hop.
         entry = self._tx_entry
         self._tx_entry = None
-        seq_a = 0
-        t_arr = 0.0
-        while True:
-            self.bytes_sent += pkt.size
-            self.pkts_sent += 1
-            if recv is not None:
-                # The arrival's seq is drawn here — before the pull, like
-                # the unfused schedule() call — whether the arrival ends
-                # up executed inline or pushed on the heap.
-                env._seq += 1
-                seq_a = env._seq
-                t_arr = env.now + prop
-            # Next departure.  The queue-then-pull order, and popping
-            # *before* the arrival can execute, exactly mirror the
-            # unfused path (the pull decision is made at serialization-
-            # done time, before the receiver sees the packet).
-            nxt = queue.pop()
-            if nxt is None and pull is not None:
-                nxt = pull()
-                if nxt is not None:
-                    self.pkts_pulled += 1
-            if nxt is None:
-                self.busy = False
-                if recv is None:
-                    return
-                if (not heap or heap[0][0] > t_arr) and env.try_advance(t_arr):
-                    # Nothing else due through t_arr: run the arrival
-                    # inline (seq_a stands as the seq it consumed).
-                    recv(pkt)
-                    return
-                if entry is None:
-                    entry = [t_arr, seq_a, recv, (pkt,), env]
-                else:
-                    entry[0] = t_arr
-                    entry[1] = seq_a
-                    entry[2] = recv
-                    entry[3] = (pkt,)
-                heappush(heap, entry)
-                env._live += 1
-                return
-            # Serialization-done seq for the next departure, drawn at pop
-            # time exactly like the unfused _start_next().
-            t2 = env.now + nxt.size * 8.0 / rate
+        if peer is not None:
+            # The arrival's seq is drawn here — before the pop/pull, like
+            # the unfused schedule() call.
             env._seq += 1
-            seq_b = env._seq
-            if recv is not None:
-                # The heap-head peek is a cheap conservative pre-filter:
-                # try_advance would refuse anyway when an earlier event
-                # is pending, and that is the overwhelmingly common case
-                # under load, so skipping the call keeps the fused path
-                # cheap when it cannot win.
-                if (
-                    t_arr <= t2
-                    and (not heap or heap[0][0] > t_arr)
-                    and env.try_advance(t_arr)
-                ):
-                    # Arrival is the next event anywhere (ties break to
-                    # it: seq_a < seq_b): run it inline.  `entry` stays
-                    # available for the serialization push below.
-                    recv(pkt)
-                else:
-                    if entry is None:
-                        arr = [t_arr, seq_a, recv, (pkt,), env]
-                    else:
-                        arr = entry
-                        arr[0] = t_arr
-                        arr[1] = seq_a
-                        arr[2] = recv
-                        arr[3] = (pkt,)
-                        entry = None
-                    heappush(heap, arr)
-                    env._live += 1
-            if (not heap or heap[0][0] > t2) and env.try_advance(t2):
-                # Nothing else fires before our next serialization
-                # completes (seq_b stands as the seq the elided event
-                # consumed): drain inline.
-                pkt = nxt
-                continue
+            t_arr = env.now + self.prop_delay
             if entry is None:
-                entry = [t2, seq_b, self._tx_done, (nxt,), env]
+                entry = [t_arr, env._seq, peer.receive, (pkt,), env]
             else:
-                entry[0] = t2
-                entry[1] = seq_b
-                entry[2] = self._tx_done
-                entry[3] = (nxt,)
-            self._tx_entry = entry
+                entry[0] = t_arr
+                entry[1] = env._seq
+                entry[2] = peer.receive
+                entry[3] = (pkt,)
             heappush(heap, entry)
             env._live += 1
+        # Next departure.  The queue-then-pull order mirrors the unfused
+        # path; the port stays busy while the pull source decides.
+        nxt = self.queue.pop()
+        if nxt is None and self.pull_source is not None:
+            nxt = self.pull_source()
+            if nxt is not None:
+                self.pkts_pulled += 1
+        if nxt is None:
+            self.busy = False
             return
+        # Serialization-done seq for the next departure, drawn after the
+        # pop exactly like _start_next().
+        env._seq += 1
+        entry = [
+            env.now + nxt.size * 8.0 / self.rate_bps,
+            env._seq,
+            self._tx_done,
+            (nxt,),
+            env,
+        ]
+        self._tx_entry = entry
+        heappush(heap, entry)
+        env._live += 1
 
     def queued_packets(self) -> int:
         return len(self.queue)

@@ -2,9 +2,10 @@
 
 An :class:`EventLoopProfiler` installs into an
 :class:`~repro.sim.engine.EventLoop` (``env.set_profiler``) and is fed
-one callback per dispatched event: the loop switches to an instrumented
-twin of its hot loop only while a profiler is installed, so the
-unprofiled path pays nothing.
+one callback per dispatched event from the loop's single dispatch
+path — a branch at the callback call site times the callback and
+reports it — so a profiled run dispatches exactly the events an
+unprofiled one does, and the unprofiled path pays one ``is None`` test.
 
 Per event type (callback ``__qualname__``) it records the dispatch
 count, cumulative and maximum wall-clock self-time, and a log2

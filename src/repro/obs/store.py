@@ -64,9 +64,11 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 #: Spec fields excluded from the hash: they configure *observation* of a
-#: run (or free-form tagging), never its behaviour — the overhead
-#: contract in tests/obs/test_overhead.py pins that down.
-_HASH_EXCLUDED_FIELDS = ("instruments", "observability", "label")
+#: run (or free-form tagging) or *how it executes* (``tuning`` is
+#: digest-inert by contract, tests/sim/test_determinism.py), never its
+#: behaviour — so a sharded re-run of a stored serial cell is a hit.
+#: The effective tuning is recorded in the entry's ``meta`` instead.
+_HASH_EXCLUDED_FIELDS = ("instruments", "observability", "label", "tuning")
 
 #: Directory names are the first 16 hex chars of each hash; the full
 #: hashes live in entry.json.
@@ -237,6 +239,7 @@ def run_meta(
         "load": spec.load,
         "seed": spec.seed,
         "label": spec.label,
+        "tuning": None if spec.tuning is None else dataclasses.asdict(spec.tuning),
         "git_revision": git_revision(),
         "created_unix": time.time(),
     }

@@ -20,9 +20,10 @@ carrying the sequence number they drew at schedule time, so the global
 byte-identical to a pure-heap run.  ``timer_wheel_enabled = False`` is
 the escape hatch that routes timers straight to the heap.
 
-The loop also exposes :meth:`try_advance` — the seam that lets a busy
-:class:`repro.net.port.Port` chain back-to-back departures inline
-without a scheduler round-trip, provided nothing else fires first.
+There is one dispatch loop, :meth:`EventLoop.run`.  An installed
+profiler (:meth:`EventLoop.set_profiler`) is fed from a branch at the
+callback call site of that same loop, so a profiled run dispatches the
+exact events an unprofiled one does.
 
 Times are floats in **seconds**.  At datacenter scale (nanoseconds to
 milliseconds) float64 has far more resolution than we need.
@@ -73,21 +74,11 @@ class EventLoop:
         now: Current simulation time in seconds.  Monotonically
             non-decreasing while the loop runs.
         events_processed: Number of callbacks actually executed (skipped
-            cancelled entries are not counted; an inline port drain via
-            :meth:`try_advance` counts as the one event it replaced).
+            cancelled entries are not counted).
         wheel: The hierarchical timer wheel backing
             :meth:`schedule_timer`.
         timer_wheel_enabled: When False, :meth:`schedule_timer` degrades
             to plain heap scheduling (the pure-heap escape hatch).
-        drain_enabled: When False, :meth:`try_advance` always refuses,
-            forcing every port departure through the scheduler.
-        batch_dispatch: When True (the default), :meth:`run` drains all
-            events tied at the head timestamp in one ``(time, seq)``-
-            sorted sweep, skipping the per-event heap/limit/watcher
-            checks inside the tie.  Dispatch order is identical either
-            way; ``batches`` / ``batched_events`` count the sweeps.
-        batches/batched_events: How many same-timestamp sweeps ran and
-            how many events they covered beyond the first of each tie.
     """
 
     __slots__ = (
@@ -95,11 +86,7 @@ class EventLoop:
         "events_processed",
         "wheel",
         "timer_wheel_enabled",
-        "drain_enabled",
-        "batch_dispatch",
         "timers_to_heap",
-        "batches",
-        "batched_events",
         "_heap",
         "_seq",
         "_stopped",
@@ -107,9 +94,6 @@ class EventLoop:
         "_cancelled",
         "_clock_watcher",
         "_profiler",
-        "_drive",
-        "_until",
-        "_no_drain",
     )
 
     def __init__(self, timer_resolution: float = 1e-6) -> None:
@@ -117,11 +101,7 @@ class EventLoop:
         self.events_processed: int = 0
         self.wheel = TimerWheel(self, timer_resolution)
         self.timer_wheel_enabled: bool = True
-        self.drain_enabled: bool = True
-        self.batch_dispatch: bool = True
         self.timers_to_heap: int = 0  # schedule_timer calls the wheel declined
-        self.batches: int = 0  # same-timestamp sweeps that swept > 1 event
-        self.batched_events: int = 0  # events dispatched inside sweeps
         self._heap: List[list] = []
         self._seq: int = 0
         self._stopped: bool = False
@@ -129,9 +109,6 @@ class EventLoop:
         self._cancelled: int = 0  # cancelled entries still in the heap
         self._clock_watcher: Optional[Callable[[float, float], None]] = None
         self._profiler: Optional[Any] = None
-        self._drive: Optional[Callable[..., int]] = None  # compiled run()
-        self._until: Optional[float] = None  # active run() horizon
-        self._no_drain: bool = True  # try_advance only allowed inside run()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -261,216 +238,71 @@ class EventLoop:
             max_events: Safety valve; stop after this many callbacks.
 
         Returns:
-            Number of callbacks executed by this call (inline port
-            drains are not re-counted here; they are folded into
-            ``events_processed`` as they happen).
+            Number of callbacks executed by this call.
         """
-        if self._profiler is not None:
-            return self._run_profiled(until, max_events)
-        if self._drive is not None:
-            # Compiled backend: an extension function with the exact
-            # semantics of the loop below (the determinism suite holds
-            # the two byte-identical).  It maintains now / _live /
-            # _cancelled / events_processed on this object at every
-            # callback boundary, so re-entrant paths (cancel,
-            # try_advance, schedule) behave identically.
-            return self._drive(self, until, max_events)
         heap = self._heap
         wheel = self.wheel
         pop = heapq.heappop
-        batch = self.batch_dispatch
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.run_started(self, until)
         executed = 0
         self._stopped = False
-        self._until = until
-        # Inline draining is only sound mid-run (the drained event must
-        # be indistinguishable from a scheduled one) and never under
-        # max_events, which meters individual dispatches.
-        self._no_drain = (max_events is not None) or not self.drain_enabled
         # Sentinels keep the per-event checks to one comparison each.
         limit = until if until is not None else float("inf")
         budget = -1 if max_events is None else max(max_events, 0)
-        try:
-            while True:
-                if self._stopped:
-                    break
-                if executed == budget:
-                    break
-                if wheel._live and (not heap or heap[0][0] >= wheel.next_hint):
-                    # Due timers pour into the heap with their original
-                    # seq, landing exactly where a direct schedule would
-                    # have put them.
-                    if heap:
-                        wheel.advance(heap[0][0], heap)
-                    else:
-                        wheel.advance_until_poured(heap)
-                    continue
-                if not heap:
-                    if until is not None and until > self.now:
-                        self.now = until
-                    break
-                entry = heap[0]
-                fn = entry[_FN]
-                if fn is None:  # cancelled — drop silently
-                    pop(heap)
-                    self._cancelled -= 1
-                    continue
-                when = entry[0]
-                if when > limit:
+        while True:
+            if self._stopped:
+                break
+            if executed == budget:
+                break
+            if wheel._live and (not heap or heap[0][0] >= wheel.next_hint):
+                # Due timers pour into the heap with their original
+                # seq, landing exactly where a direct schedule would
+                # have put them — between heap ties at the pour's own
+                # timestamp included, which is why this check runs
+                # before every dispatch.
+                if heap:
+                    wheel.advance(heap[0][0], heap)
+                else:
+                    wheel.advance_until_poured(heap)
+                continue
+            if not heap:
+                if until is not None and until > self.now:
                     self.now = until
-                    break
+                break
+            entry = heap[0]
+            fn = entry[_FN]
+            if fn is None:  # cancelled — drop silently
                 pop(heap)
-                # Mark as fired *before* any observer can run: a cancel()
-                # issued from the clock watcher (or any re-entrant path)
-                # must see a dead entry, not double-count a corpse that
-                # is no longer in the heap.
-                entry[_FN] = None
-                self._live -= 1
-                if when < self.now and self._clock_watcher is not None:
-                    # Only reachable by smuggling an entry into the heap
-                    # behind schedule_at()'s past-time guard.
-                    self._clock_watcher(self.now, when)
-                self.now = when
+                self._cancelled -= 1
+                continue
+            when = entry[0]
+            if when > limit:
+                self.now = until
+                break
+            pop(heap)
+            # Mark as fired *before* any observer can run: a cancel()
+            # issued from the clock watcher (or any re-entrant path)
+            # must see a dead entry, not double-count a corpse that
+            # is no longer in the heap.
+            entry[_FN] = None
+            self._live -= 1
+            if when < self.now and self._clock_watcher is not None:
+                # Only reachable by smuggling an entry into the heap
+                # behind schedule_at()'s past-time guard.
+                self._clock_watcher(self.now, when)
+            self.now = when
+            if profiler is None:
                 fn(*entry[3])
-                executed += 1
-                if not batch:
-                    continue
-                # Same-timestamp sweep: every further event tied at
-                # ``when`` runs here without re-checking heap-emptiness,
-                # the ``until`` limit, or the clock watcher — the head
-                # time cannot move backwards, ``now`` already equals
-                # ``when``, and ties can never trip the watcher.  The
-                # wheel check must stay: a callback may park a timer
-                # whose pour is due at ``when`` itself (e.g. the run's
-                # first wheel timer, scheduled one tick out from a
-                # cursor that is still behind), and that timer's seq
-                # orders it *between* heap ties.  Stop/budget checks
-                # stay per-event so metering is identical either way.
-                swept = 0
-                while heap:
-                    if self._stopped or executed == budget:
-                        break
-                    if wheel._live and when >= wheel.next_hint:
-                        break  # outer loop pours, then resumes the tie
-                    head = heap[0]
-                    if head[0] != when:
-                        break
-                    fn = head[_FN]
-                    pop(heap)
-                    if fn is None:  # cancelled mid-batch
-                        self._cancelled -= 1
-                        continue
-                    head[_FN] = None
-                    self._live -= 1
-                    fn(*head[3])
-                    executed += 1
-                    swept += 1
-                if swept:
-                    self.batches += 1
-                    self.batched_events += swept
-        finally:
-            self._no_drain = True
-            self._until = None
-        self.events_processed += executed
-        return executed
-
-    def try_advance(self, t: float) -> bool:
-        """Advance the clock to ``t`` iff no other event fires first.
-
-        The inline-drain seam for fused ports: when a busy port has its
-        next packet ready at serialization-done time ``t``, and nothing
-        else in the simulation is due at or before ``t``, the port may
-        skip scheduling the intermediate event and continue inline.  On
-        success the clock moves to ``t`` and ``events_processed`` is
-        credited with the one event the drain replaced, keeping the
-        counter identical with draining on or off.
-
-        Refuses (returns False) outside :meth:`run`, after :meth:`stop`,
-        past the run's ``until`` horizon, under a profiler (which meters
-        individual dispatches), or when any heap event or wheel timer is
-        due at or before ``t``.
-        """
-        if self._no_drain or self._stopped or t < self.now:
-            return False
-        until = self._until
-        if until is not None and t > until:
-            return False
-        heap = self._heap
-        while heap and heap[0][_FN] is None:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        if self.wheel._live and self.wheel.next_hint <= t:
-            return False
-        if heap and heap[0][0] <= t:
-            return False
-        self.now = t
-        self.events_processed += 1
-        return True
-
-    def _run_profiled(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Instrumented twin of :meth:`run`.
-
-        A separate copy so the unprofiled hot loop pays nothing for the
-        profiler seam.  Kept line-for-line parallel with :meth:`run`;
-        the only differences are the ``perf_counter`` bracket around the
-        callback, the ``on_event`` report, and inline draining staying
-        disabled (``_no_drain``) so every dispatch is individually
-        metered.
-        """
-        profiler = self._profiler
-        profiler.run_started(self, until)
-        heap = self._heap
-        wheel = self.wheel
-        pop = heapq.heappop
-        executed = 0
-        self._stopped = False
-        self._until = until
-        limit = until if until is not None else float("inf")
-        budget = -1 if max_events is None else max(max_events, 0)
-        try:
-            while True:
-                if self._stopped:
-                    break
-                if executed == budget:
-                    break
-                if wheel._live and (not heap or heap[0][0] >= wheel.next_hint):
-                    if heap:
-                        wheel.advance(heap[0][0], heap)
-                    else:
-                        wheel.advance_until_poured(heap)
-                    continue
-                if not heap:
-                    if until is not None and until > self.now:
-                        self.now = until
-                    break
-                entry = heap[0]
-                fn = entry[_FN]
-                if fn is None:  # cancelled — drop silently
-                    pop(heap)
-                    self._cancelled -= 1
-                    continue
-                when = entry[0]
-                if when > limit:
-                    self.now = until
-                    break
-                pop(heap)
-                entry[_FN] = None  # fired: see the ordering note in run()
-                self._live -= 1
-                if when < self.now and self._clock_watcher is not None:
-                    self._clock_watcher(self.now, when)
-                self.now = when
+            else:
                 t0 = perf_counter()
                 fn(*entry[3])
                 # Six-cell entries came through the timing wheel (they
-                # carry a trailing tick); four-cell ones were scheduled
+                # carry a trailing tick); five-cell ones were scheduled
                 # straight onto the heap.
                 profiler.on_event(fn, when, perf_counter() - t0, len(entry) == 6)
-                executed += 1
-        finally:
-            self._until = None
+            executed += 1
         self.events_processed += executed
         return executed
 
@@ -480,8 +312,8 @@ class EventLoop:
         The profiler must expose ``run_started(loop, until)`` and
         ``on_event(fn, when, wall_dt, via_wheel)`` — see
         :class:`repro.obs.EventLoopProfiler`.  While one is installed,
-        :meth:`run` dispatches through an instrumented twin loop; the
-        ordinary path is untouched otherwise.
+        :meth:`run` times each callback and reports it; dispatch order
+        and every counter are the same either way.
         """
         self._profiler = profiler
 
@@ -489,19 +321,6 @@ class EventLoop:
     def profiler(self) -> Optional[Any]:
         """The installed event-loop profiler, if any."""
         return self._profiler
-
-    def set_drive(self, drive: Optional[Callable[..., int]]) -> None:
-        """Install (or remove, with ``None``) a compiled ``run()`` twin.
-
-        ``drive(loop, until, max_events)`` must execute events with the
-        exact semantics of the pure loop — same dispatch order, same
-        counter updates, same ``finally`` discipline — and return the
-        number of callbacks executed.  Installed by
-        :func:`repro.sim.backend.apply_backend` when the compiled
-        backend is selected; profiled runs always use the pure
-        instrumented twin regardless.
-        """
-        self._drive = drive
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current callback."""
@@ -524,16 +343,6 @@ class EventLoop:
         almost-always-false comparison per event.
         """
         self._clock_watcher = fn
-
-    def configure_wheel(self, resolution: float) -> None:
-        """Replace the timer wheel (e.g. with a different resolution).
-
-        Only valid while no timers are parked — call it at build time,
-        before the simulation schedules anything through the wheel.
-        """
-        if self.wheel._live or self.wheel._cancelled:
-            raise SimulationError("cannot reconfigure a wheel holding timers")
-        self.wheel = TimerWheel(self, resolution)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -623,10 +623,7 @@ class ShardRuntime:
             base,
             timer_wheel=False,
             fused_ports=False,
-            inline_drain=False,
             packet_pool=False,
-            batch_dispatch=False,
-            backend="pure",
             shards="off",
         )
         # Fresh auditor instances per shard: originals stay unbound (so
@@ -1321,7 +1318,6 @@ def _run_sharded_impl(spec):
     from repro.net.topology import Fabric
 
     env0 = EventLoop()
-    env0.timer_wheel_enabled = False
     fab0 = Fabric(env0, topo, SeededRng(spec.seed))
     flows = _generate_flows(spec, fab0, SeededRng(spec.seed))
     flows.sort(key=lambda f: f.arrival)

@@ -1,8 +1,8 @@
 """Hot-path tuning knobs for one simulation run.
 
 Every optimization in the per-packet hot path — the hierarchical timer
-wheel, fused per-hop port events, inline back-to-back drains, and packet
-pooling — is behaviour-preserving by construction: a run's digest
+wheel, fused per-hop port events, and packet pooling — is
+behaviour-preserving by construction: a run's digest
 (:func:`repro.validate.digest.run_digest`) is byte-identical with any
 combination of these knobs.  They exist as knobs anyway, for three
 reasons:
@@ -32,9 +32,6 @@ class SimTuning:
             through the hierarchical timing wheel instead of the heap.
         fused_ports: Ports fuse serialization-done and propagation-
             arrival into one reused heap entry per hop.
-        inline_drain: Busy ports may chain back-to-back departures
-            inline via :meth:`~repro.sim.engine.EventLoop.try_advance`
-            (only meaningful when ``fused_ports`` is on).
         packet_pool: Recycle :class:`~repro.net.packet.Packet` objects
             through a freelist once they are delivered.
         fused_dataplane: Let reference dataplane programs compile to
@@ -45,17 +42,6 @@ class SimTuning:
             engine.  Digest-inert like every other knob; turn off to
             exercise the match-action reference semantics (with full
             per-stage ledgers) on any protocol.
-        batch_dispatch: Drain every heap event sharing the head
-            timestamp in one ``(time, seq)``-sorted sweep, amortizing
-            the per-event loop checks across the batch (see
-            :meth:`~repro.sim.engine.EventLoop.run`).
-        backend: Which inner-loop implementation drives the run.
-            ``"pure"`` is the digest-pinned CPython reference;
-            ``"compiled"`` selects the optional accelerated extension
-            (built by ``scripts/build_backend.py``) and falls back to
-            pure — with a visible warning — when no extension imports;
-            ``"auto"`` uses the extension if present, silently.
-        wheel_resolution: Timer-wheel tick in seconds.
         shards: Partition the fabric into per-rack shards that run
             concurrently under conservative synchronization (see
             :mod:`repro.sim.shard`).  ``"off"`` (default) is the
@@ -74,21 +60,12 @@ class SimTuning:
 
     timer_wheel: bool = True
     fused_ports: bool = True
-    inline_drain: bool = True
     packet_pool: bool = True
     fused_dataplane: bool = True
-    batch_dispatch: bool = True
-    backend: str = "pure"
-    wheel_resolution: float = 1e-6
     shards: object = "off"
     shard_transport: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("pure", "compiled", "auto"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                "choose 'pure', 'compiled', or 'auto'"
-            )
         shards = self.shards
         if isinstance(shards, bool) or not (
             shards in ("off", "auto")
@@ -106,10 +83,4 @@ class SimTuning:
     @classmethod
     def baseline(cls) -> "SimTuning":
         """Everything off — the pre-optimization execution path."""
-        return cls(
-            timer_wheel=False,
-            fused_ports=False,
-            inline_drain=False,
-            packet_pool=False,
-            batch_dispatch=False,
-        )
+        return cls(timer_wheel=False, fused_ports=False, packet_pool=False)

@@ -13,14 +13,19 @@ touches.  The :class:`CausalityAuditor` polices three things:
   decreases (a cheap end-to-end restatement of the same property at the
   metrics layer);
 * **flow-lifecycle** — flows move ``arrived -> (data flows) -> completed``:
-  no data is sent or delivered for a flow that has not arrived or has
-  already completed, and no flow completes before it arrived.
+  no data is sent or delivered for a flow that has not arrived, no flow
+  completes before it arrived, and no source sends a packet after it
+  has seen the ACK covering it.  Completion is declared at the
+  *destination*, so a source that retransmits while the completing ACK
+  is still in flight (or was lost) is the protocol working as designed;
+  those sends are tallied as ``post_completion_retransmits`` context.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Set, Tuple
 
+from repro.net.packet import PacketType
 from repro.validate.base import Auditor
 
 __all__ = ["CausalityAuditor"]
@@ -47,6 +52,9 @@ class CausalityAuditor(Auditor):
         )
         self._arrived: Set[int] = set()
         self._completed: Set[int] = set()
+        # (fid, ack seq) of ACKs delivered to the source of a flow the
+        # destination has already completed.
+        self._acks_at_source: Set[Tuple[int, int]] = set()
         self._last_time = float("-inf")
         self._post_completion_rtx = 0
 
@@ -54,7 +62,22 @@ class CausalityAuditor(Auditor):
     def bind(self, ctx) -> "CausalityAuditor":
         super().bind(ctx)
         ctx.env.set_clock_watcher(self._on_clock_regression)
+        for host in ctx.fabric.hosts:
+            if host.agent is not None:
+                self._tap_acks(host.agent)
         return self
+
+    def _tap_acks(self, agent) -> None:
+        """Observe ACK delivery at a host's agent (the only place the
+        source side of a completion is visible)."""
+        deliver = agent.on_packet
+
+        def on_packet(pkt) -> None:
+            if pkt.ptype == PacketType.ACK and pkt.flow.fid in self._completed:
+                self._acks_at_source.add((pkt.flow.fid, pkt.seq))
+            deliver(pkt)
+
+        agent.on_packet = on_packet
 
     def _on_clock_regression(self, now: float, when: float) -> None:
         self._violate(
@@ -113,19 +136,20 @@ class CausalityAuditor(Auditor):
                 fid=fid, seq=pkt.seq,
             )
         elif verb == "sent" and fid in self._completed:
-            if self.ctx is not None and self.ctx.faults is not None:
-                # Completion is declared at the destination.  When the
-                # fault layer loses the completing ACK, the source
-                # legitimately retransmits a flow the destination already
-                # finished — recovery working as designed, not a
-                # lifecycle break.  Tally instead of violating.
-                self._post_completion_rtx += 1
-            else:
+            # Completion is declared at the destination.  Until the ACK
+            # naming this packet (per-packet ACKs) or the whole flow
+            # (seq == n_pkts) reaches the source — it may be in flight,
+            # dropped, or lost to the fault layer — a retransmission is
+            # recovery working as designed: tally, don't violate.
+            acks = self._acks_at_source
+            if (fid, pkt.seq) in acks or (fid, pkt.flow.n_pkts) in acks:
                 self._violate(
                     "flow-lifecycle",
-                    f"data sent for flow {fid} after it completed",
+                    f"data sent for flow {fid} after its source saw the ACK",
                     fid=fid, seq=pkt.seq,
                 )
+            else:
+                self._post_completion_rtx += 1
 
     def flow_completed(self, flow, now: float) -> None:
         self._observe_time()

@@ -183,10 +183,9 @@ def test_fused_and_classic_paths_deliver_identically():
     assert outcomes[0] == outcomes[1]
 
 
-def test_fused_drain_elides_heap_events_when_alone():
-    """A lone busy port with queued packets and an empty heap drains
-    inline: far fewer heap round-trips, same deliveries and same
-    events_processed accounting."""
+def test_fused_backlog_delivers_in_order_two_events_per_packet():
+    """A lone busy port with a 50-packet backlog: ordered deliveries and
+    exactly one serialization plus one arrival event per packet."""
     env = EventLoop()
     port, sink = make_port(env, cap=200_000)  # hold all 50 packets
     for seq in range(50):
@@ -194,7 +193,6 @@ def test_fused_drain_elides_heap_events_when_alone():
     env.run()
     assert port.pkts_dropped == 0
     assert [p.seq for p in sink.received] == list(range(50))
-    # 50 serializations + 50 arrivals, whether elided or dispatched.
     assert env.events_processed == 100
 
 

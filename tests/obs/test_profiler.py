@@ -1,7 +1,8 @@
 """Event-loop profiler tests.
 
 The acceptance criterion: per-event-type counts sum to exactly the
-loop's total dispatched events.
+loop's total dispatched events, and a profiled run is byte-identical to
+the unprofiled run of the same spec.
 """
 
 from __future__ import annotations
@@ -38,15 +39,25 @@ def test_counts_by_qualname():
     assert stats["tick"]["last_sim_time"] == 4.0
 
 
-def test_counts_sum_to_loop_total_on_real_run():
-    spec = make_spec("phost", "websearch", "tiny", seed=42).variant(
-        observability=ObservabilityConfig(sample_period=None, profile=True)
+@pytest.mark.parametrize("protocol", ["phost", "pfabric", "fastpass", "dctcp"])
+def test_profiled_run_is_the_unprofiled_run_with_counts(protocol):
+    """The profiler rides the one dispatch loop: same digest, same
+    event total, and per-type counts summing to exactly that total."""
+    from repro.validate import run_digest
+
+    bare = make_spec(protocol, "websearch", "tiny", seed=42)
+    reference = run_experiment(bare)
+    result = run_experiment(
+        bare.variant(
+            observability=ObservabilityConfig(sample_period=None, profile=True)
+        )
     )
-    result = run_experiment(spec)
     profile = result.telemetry.profile
     assert profile is not None
     counted = sum(stats["count"] for stats in profile["by_type"].values())
     assert counted == profile["total_events"] == result.events_processed
+    assert result.events_processed == reference.events_processed
+    assert run_digest(result) == run_digest(reference)
     assert profile["wall_self_seconds"] > 0.0
 
 

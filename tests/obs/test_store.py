@@ -107,12 +107,37 @@ def test_spec_hash_stable_and_seed_sensitive():
     assert spec_hash(_tiny_spec()) != spec_hash(_tiny_spec(load=0.7))
 
 
-def test_spec_hash_blind_to_observation_and_label():
-    bare = _tiny_spec()
-    observed = _tiny_spec(
+def test_spec_hash_blind_to_observation_label_and_tuning(tmp_path):
+    from repro.sim.tuning import SimTuning
+
+    bare = _tiny_spec(stability_samples=0)
+    observed = bare.variant(
         observability=ObservabilityConfig(sample_period=50e-6), label="x"
     )
     assert spec_hash(bare) == spec_hash(observed)
+    # ``tuning`` is digest-inert by contract, so it must not key the
+    # ledger either.
+    for tuning in (SimTuning(), SimTuning(timer_wheel=False), SimTuning(shards=2)):
+        assert spec_hash(bare) == spec_hash(bare.variant(tuning=tuning))
+        assert family_hash(bare) == family_hash(bare.variant(tuning=tuning))
+
+    # A sharded re-run of a stored serial cell is an idempotent re-put;
+    # the entry keeps the tuning it was first run with in ``meta``.
+    ledger = RunLedger(tmp_path / "ledger")
+    serial = ledger.put(run_experiment(bare))
+    sharded = ledger.put(
+        run_experiment(
+            bare.variant(tuning=SimTuning(shards=2, shard_transport="inprocess"))
+        )
+    )
+    assert sharded.key == serial.key
+    assert len(ledger.entries()) == 1
+    assert sharded.meta["tuning"] is None
+    explicit = RunLedger(tmp_path / "explicit").put(
+        run_experiment(bare.variant(tuning=SimTuning(timer_wheel=False)))
+    )
+    assert explicit.key == serial.key
+    assert explicit.meta["tuning"]["timer_wheel"] is False
 
 
 def test_family_hash_is_seed_blind():

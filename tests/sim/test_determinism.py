@@ -94,8 +94,8 @@ def test_generic_dataplane_engine_matches_fused_queues(protocol):
 @pytest.mark.parametrize("seed", [5, 11])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_tuning_knobs_do_not_change_behaviour(protocol, seed):
-    """The hot-path optimizations (timer wheel, fused ports, inline
-    drain, packet pooling) are pure performance: with everything OFF
+    """The hot-path optimizations (timer wheel, fused ports, packet
+    pooling) are pure performance: with everything OFF
     the digest must be byte-identical to the optimized reference run."""
     baseline = run_digest(
         run_experiment(spec(protocol, seed).variant(tuning=SimTuning.baseline()))
@@ -108,21 +108,10 @@ def test_tuning_knobs_do_not_change_behaviour(protocol, seed):
     [
         SimTuning(timer_wheel=False),
         SimTuning(fused_ports=False),
-        SimTuning(inline_drain=False),
         SimTuning(packet_pool=False),
         SimTuning(fused_dataplane=False),
-        SimTuning(batch_dispatch=False),
-        SimTuning(backend="auto"),
     ],
-    ids=[
-        "no-wheel",
-        "no-fusion",
-        "no-drain",
-        "no-pool",
-        "no-fused-dataplane",
-        "no-batch",
-        "backend-auto",
-    ],
+    ids=["no-wheel", "no-fusion", "no-pool", "no-fused-dataplane"],
 )
 def test_each_tuning_knob_is_independently_inert(tuning):
     """Disable one optimization at a time: any digest drift localizes

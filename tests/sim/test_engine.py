@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import EventLoop, SimulationError
 
@@ -160,8 +160,24 @@ def test_property_cancellation_removes_exactly_chosen(times, data):
     assert set(seen) == set(range(len(times))) - to_cancel
 
 
+class RecordingProfiler:
+    """Minimal EventLoop profiler: remembers every report."""
+
+    def __init__(self):
+        self.runs = []
+        self.events = []  # (qualname, when, via_wheel)
+
+    def run_started(self, loop, until):
+        self.runs.append(until)
+
+    def on_event(self, fn, when, wall_dt, via_wheel):
+        assert wall_dt >= 0.0
+        self.events.append((fn.__qualname__, when, via_wheel))
+
+
+@pytest.mark.parametrize("profiled", [False, True], ids=["bare", "profiled"])
 @given(st.data())
-def test_property_model_based_schedule_cancel_step(data):
+def test_property_model_based_schedule_cancel_step(profiled, data):
     """Random interleavings of schedule/cancel/step versus a naive
     list-based reference model.
 
@@ -172,8 +188,15 @@ def test_property_model_based_schedule_cancel_step(data):
     model's k earliest events, in order — covering the interactions of
     O(1) cancellation, eager compaction and the live-count bookkeeping
     that single-purpose tests miss.
+
+    The ``profiled`` arm installs a profiler on the same loop: dispatch
+    order, step sizes and counters must not move, and the profiler must
+    be told about every dispatch exactly once.
     """
     env = EventLoop()
+    profiler = RecordingProfiler()
+    if profiled:
+        env.set_profiler(profiler)
     fired = []
     model = []  # live events as (time, uid), insertion-ordered
     handles = {}
@@ -208,6 +231,194 @@ def test_property_model_based_schedule_cancel_step(data):
     env.run()
     assert fired[before:] == expected
     assert env.pending_count() == 0
+    assert env.events_processed == len(fired)
+    assert len(profiler.events) == (len(fired) if profiled else 0)
+
+
+# One op = (kind, time_slot, payload).  Times are quantized to a few
+# slots so same-timestamp ties — between heap events, and between heap
+# events and timers poured from the wheel — are common.
+_TIE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["event", "tie", "cancel_next", "timer", "chain", "stop"]),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=3),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _run_tie_program(ops, profiler, wheel, step):
+    """Execute a schedule program in ``run(max_events=step)`` slices
+    (``None`` = one ``run(until=1.0)`` then ``run()``); returns the
+    execution log, ``events_processed`` and the final clock."""
+    env = EventLoop()
+    env.timer_wheel_enabled = wheel
+    env.set_profiler(profiler)
+    log = []
+    handles = []
+
+    def fire(tag):
+        log.append((tag, env.now))
+
+    def chain(tag, extra):
+        # Schedules more work at its own timestamp: joins the live tie.
+        log.append((tag, env.now))
+        for k in range(extra):
+            env.schedule_at(env.now, fire, f"{tag}+{k}")
+
+    def cancel_one(tag):
+        log.append((tag, env.now))
+        while handles:
+            handle = handles.pop()
+            if EventLoop.is_pending(handle):
+                EventLoop.cancel(handle)
+                return
+
+    def stopper(tag):
+        log.append((tag, env.now))
+        env.stop()
+
+    for i, (kind, slot, payload) in enumerate(ops):
+        when = slot * 0.25
+        if kind == "event":
+            handles.append(env.schedule_at(when, fire, f"ev{i}"))
+        elif kind == "tie":
+            for k in range(payload + 1):
+                handles.append(env.schedule_at(when, fire, f"tie{i}.{k}"))
+        elif kind == "cancel_next":
+            handles.append(env.schedule_at(when, cancel_one, f"cx{i}"))
+        elif kind == "timer":
+            handles.append(env.schedule_timer_at(when + 1e-6 * payload, fire, f"tm{i}"))
+        elif kind == "chain":
+            handles.append(env.schedule_at(when, chain, f"ch{i}", payload))
+        else:
+            handles.append(env.schedule_at(when, stopper, f"st{i}"))
+    if step is None:
+        env.run(until=1.0)
+    while env.pending_count():
+        executed = env.run(max_events=step)
+        assert step is None or executed <= step
+    return log, env.events_processed, env.now
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TIE_OPS, st.sampled_from([None, 1, 2, 3]))
+def test_property_profiler_and_wheel_are_invisible_to_dispatch(ops, step):
+    """One loop, four ways to drive it: bare or profiled, timers on the
+    wheel or on the heap, in one go or in ``max_events`` slices that
+    stop mid-tie.  Same execution log, same counters; the profiler sees
+    every dispatch once, and flags nothing but wheel-poured timers."""
+    base = _run_tie_program(ops, None, wheel=False, step=step)
+    assert _run_tie_program(ops, None, wheel=False, step=None)[:2] == base[:2]
+    assert _run_tie_program(ops, None, wheel=True, step=step) == base
+    n_timers_fired = sum(1 for tag, _ in base[0] if tag.startswith("tm"))
+    for wheel in (False, True):
+        profiler = RecordingProfiler()
+        assert _run_tie_program(ops, profiler, wheel, step) == base
+        assert len(profiler.events) == base[1]
+        assert [when for _, when, _ in profiler.events] == [t for _, t in base[0]]
+        via_wheel = sum(1 for _, _, w in profiler.events if w)
+        if not wheel:
+            assert via_wheel == 0
+        else:
+            assert via_wheel <= n_timers_fired  # the wheel may decline some
+
+
+def test_profiler_reports_wheel_poured_timers_via_wheel():
+    env = EventLoop()
+    profiler = RecordingProfiler()
+    env.set_profiler(profiler)
+    env.schedule_at(1.0, lambda: None)
+    env.schedule_timer_at(1.0 + 50e-6, lambda: None)  # parked in the wheel
+    assert env.wheel._live == 1
+    env.run()
+    assert [w for _, _, w in profiler.events] == [False, True]
+    assert profiler.runs == [None]
+
+
+def test_cancel_of_later_same_timestamp_event_from_earlier_one():
+    """A tie member cancelled by an earlier member of the same tie is
+    skipped without being counted."""
+    env = EventLoop()
+    fired = []
+    victim = []
+
+    def killer():
+        fired.append("killer")
+        EventLoop.cancel(victim[0])
+
+    env.schedule_at(1.0, killer)
+    victim.append(env.schedule_at(1.0, fired.append, "victim"))
+    env.schedule_at(1.0, fired.append, "bystander")
+    env.run()
+    assert fired == ["killer", "bystander"]
+    assert env.events_processed == 2
+    assert env._cancelled == 0
+
+
+def test_timer_poured_at_a_ties_own_timestamp_orders_by_seq():
+    """Mid-tie, a callback parks the run's *first* wheel timer whose
+    pour is due at the tie's own timestamp (the cursor is still far
+    behind ``now``).  The poured timer carries the seq it drew at
+    schedule time, so it runs after the heap ties scheduled before it —
+    exactly where a pure-heap loop puts it."""
+
+    def program(wheel):
+        env = EventLoop()
+        env.timer_wheel_enabled = wheel
+        log = []
+
+        def parker():
+            log.append("parker")
+            env.schedule_timer(0.0, log.append, "timer")
+            env.schedule_at(env.now, log.append, "after-timer")
+
+        env.schedule_at(1.0, parker)
+        env.schedule_at(1.0, log.append, "tie-a")
+        env.schedule_at(1.0, log.append, "tie-b")
+        env.schedule_at(1.5, log.append, "later")
+        env.run()
+        return log, env.events_processed
+
+    assert program(True) == program(False)
+    assert program(True)[0] == [
+        "parker", "tie-a", "tie-b", "timer", "after-timer", "later",
+    ]
+
+
+def test_stop_and_budget_are_honoured_mid_tie():
+    env = EventLoop()
+    fired = []
+    env.schedule_at(1.0, fired.append, 0)
+    env.schedule_at(1.0, env.stop)
+    for k in range(2, 6):
+        env.schedule_at(1.0, fired.append, k)
+    env.run()
+    assert fired == [0]
+    assert env.events_processed == 2  # head + the stopping callback
+    assert env.run(max_events=3) == 3
+    assert fired == [0, 2, 3, 4]
+    assert env.run() == 1  # the rest of the tie runs on the next call
+    assert env.run(until=7.5) == 0  # empty heap: clock still advances
+    assert env.now == 7.5
+
+
+def test_callback_exception_propagates_and_loop_stays_usable():
+    env = EventLoop()
+    fired = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    env.schedule_at(1.0, boom)
+    env.schedule_at(2.0, fired.append, "next")
+    with pytest.raises(RuntimeError):
+        env.run()
+    assert env.events_processed == 0  # the aborted run adds nothing
+    env.run()
+    assert fired == ["next"]
 
 
 def test_clock_watcher_fires_only_for_smuggled_past_events():
