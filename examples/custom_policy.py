@@ -22,6 +22,9 @@ class SJFPolicy(SchedulingPolicy):
     """
 
     name = "sjf"
+    #: The key reads the flow alone and ends in its id, so receivers may
+    #: keep flows in a heap instead of re-ranking all of them per token.
+    flow_local_key = True
 
     def key(self, state, ctx=None):
         return (state.flow.size_bytes, state.flow.arrival, state.flow.fid)

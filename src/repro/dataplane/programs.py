@@ -66,7 +66,7 @@ class PFabricProgram(DataplaneProgram):
                  The incoming packet holds the newest stamp, so on an
                  urgency tie the *incoming* packet is dropped and older
                  buffered packets survive — exactly
-                 ``PFabricQueue._worst_index``;
+                 ``PFabricQueue``'s ``max`` over its keys;
     schedule  -> starvation avoidance (paper footnote 1): the most
                  urgent entry — min ``(remaining, stamp)`` — selects a
                  flow; the earliest queued packet of that flow is

@@ -178,10 +178,14 @@ def build_simulation(
     if spec.observability is not None:
         ctx.add_hook(Telemetry(spec.observability))
     if any(getattr(h, "retains_packets", False) for h in ctx.hooks):
-        # A hook that keeps packet references past delivery makes
-        # recycling unsound; pooling quietly turns off for this run.
+        # A hook that keeps packet references past delivery (or a
+        # drop) makes recycling unsound; pooling quietly turns off for
+        # this run.
         ctx.pool.enabled = False
     if ctx.pool.enabled:
+        # Every end of a packet's life gives its slot back: delivery at
+        # a host, and a queue or injected drop at the fabric.
+        fabric.pool = ctx.pool
         for host in fabric.hosts:
             host.pool = ctx.pool
     return ctx
@@ -303,9 +307,12 @@ def run_flow_list(
     collector.total_pkts_offered = sum(f.n_pkts for f in flows)
     collector.expected_flows = len(flows)
 
-    for flow in flows:
-        agent = fabric.hosts[flow.src].agent
-        env.schedule_at(flow.arrival, agent.start_flow, flow)
+    # Arrivals are streamed: the event heap holds the next one, not all
+    # of them, which is what keeps it shallow on many-flow runs.
+    hosts = fabric.hosts
+    env.schedule_series(
+        ((f.arrival, hosts[f.src].agent.start_flow, (f,)) for f in flows), len(flows)
+    )
 
     tracker: Optional[StabilityTracker] = None
     if spec.stability_samples > 0:

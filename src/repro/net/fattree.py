@@ -165,6 +165,7 @@ class FatTreeFabric:
         self.dropped_packets: List[Packet] = []
         self.keep_dropped = False
         self.drop_hook = None
+        self.pool = None  # PacketPool, set by the runner when pooling is on
         # Injected-fault ledger, mirroring Fabric (see repro.faults).
         self.fault_drops_by_hop: Dict[int, int] = {h: 0 for h in FAT_TREE_HOP_NAMES}
         self.fault_drops_total = 0
@@ -322,6 +323,9 @@ class FatTreeFabric:
             self.dropped_packets.append(pkt)
         if self.drop_hook is not None:
             self.drop_hook(pkt, hop_index)
+        # End of life, as in Fabric._record_drop.
+        if self.pool is not None and not self.keep_dropped:
+            self.pool.release(pkt)
 
     def record_fault_drop(self, pkt: Packet, hop_index: int, reason: str = "fault") -> None:
         """Ledger one injected drop (see :meth:`Fabric.record_fault_drop`)."""
@@ -330,6 +334,8 @@ class FatTreeFabric:
         self.fault_drops_by_reason[reason] = self.fault_drops_by_reason.get(reason, 0) + 1
         if self.fault_drop_hook is not None:
             self.fault_drop_hook(pkt, hop_index)
+        if self.pool is not None:
+            self.pool.release(pkt)
 
     def host(self, host_id: int) -> Host:
         return self.hosts[host_id]

@@ -11,17 +11,21 @@ is oblivious: acquire helpers still hand out ``Packet``s, and a reused
 view is indistinguishable from a fresh packet.
 
 Packets are pure value objects here — nothing in the simulator keeps a
-reference past delivery (instrumentation hooks record scalars, not
-packets; a hook that *does* retain them must set
+reference past a packet's end of life (instrumentation hooks record
+scalars, not packets; a hook that *does* retain them must set
 ``retains_packets = True``, which makes the runner disable pooling for
 that run) — so reuse is invisible to protocol logic and to run digests.
 
 Two safety properties hold by construction:
 
-* only packets that reach :meth:`repro.net.node.Host.receive` are ever
-  released — dropped packets simply fall out of scope and are never
-  recycled (their slots stay retired for the run), so
-  ``fabric.keep_dropped`` stays sound;
+* a slot is released exactly where its packet's life ends, and nowhere
+  else: delivery (:meth:`repro.net.node.Host.receive`, after the agent
+  has seen it), a queue drop (the fabric's ``_record_drop``, after the
+  drop hooks have run) and an injected drop (``record_fault_drop``).
+  While ``fabric.keep_dropped`` is set the fabric holds dropped packets
+  in ``dropped_packets`` and does not release them, so the retained
+  packets keep their fields.  The store therefore holds as many slots
+  as packets were ever in flight at once, however many were dropped;
 * :meth:`release` resets every mutable field — view and columns — so a
   reused slot is indistinguishable from a fresh one.
 
@@ -125,19 +129,20 @@ class PacketPool:
 
     # ------------------------------------------------------------------
     def release(self, pkt: Packet) -> None:
-        """Park a delivered packet's slot for reuse (no-op while
-        disabled, for plain packets, and past the ``max_free`` cap —
-        over-cap slots simply retire, exactly as over-cap packets used
-        to fall out of scope)."""
+        """End a packet's life: park its slot for reuse (no-op while
+        disabled and for plain packets).  Past the ``max_free`` cap the
+        slot goes back to the store's own free stack instead, so the
+        next fresh acquire takes it before the store grows."""
         if not self.enabled:
             return
         slot = pkt.slot
         if slot < 0:  # plain packet from a pre-enable acquire
             return
+        self.columns.reset(slot)
         free = self._free
         if len(free) >= self.max_free:
+            self.columns.release(slot)
             return
-        self.columns.reset(slot)
         free.append(slot)
         self.released += 1
 

@@ -13,16 +13,18 @@ Two queue disciplines cover everything in the paper:
   with the most urgent packet (the starvation-avoidance rule from
   pFabric §3 / the footnote of the pHost paper).
 
-Both scans in PFabricQueue are O(n), which is fine because the whole
-point of pFabric is that buffers are tiny (36 kB ~ 24 packets).
+pFabric buffers are tiny by design (36 kB ~ 24 full-size packets), so
+PFabricQueue stays a flat list; what it avoids is interpreting a loop
+over that list per packet — its scans are ``min``/``max``/``index``
+calls over a parallel list of keys, which run in C.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
-from repro.net.packet import Packet
+from repro.net.packet import Flow, Packet
 
 __all__ = ["PriorityQueue", "PFabricQueue", "QueueFullError"]
 
@@ -146,14 +148,21 @@ class PFabricQueue:
     """pFabric's priority-drop / priority-dequeue queue.
 
     Priority of a packet is its ``remaining`` field (fewer remaining
-    un-ACKed packets = more urgent).  Control/ACK packets are stamped
-    ``remaining = 0`` by the pFabric agent, so they are effectively
-    never dropped — mirroring pFabric's high-priority ACKs.
+    un-ACKed packets = more urgent), read once when the packet is
+    queued.  Control/ACK packets are stamped ``remaining = 0`` by the
+    pFabric agent, so they are effectively never dropped — mirroring
+    pFabric's high-priority ACKs.
 
     Dequeue implements the starvation-avoidance rule: find the packet
     with the minimum ``remaining`` value, then transmit the *earliest
     arrived* packet belonging to that packet's flow (which may be a
     different, older packet stamped with a larger remaining value).
+
+    Three parallel lists in arrival order hold the packets, their
+    ``(remaining, arrival stamp)`` keys and their flows.  Stamps are
+    unique, so ``max(keys)`` is the one least-urgent packet (largest
+    remaining; on a tie the most recently arrived, so older packets
+    survive) and ``min(keys)`` the one most urgent.
     """
 
     __slots__ = (
@@ -162,7 +171,8 @@ class PFabricQueue:
         "bytes_queued",
         "pkts_queued",
         "_arrival_seq",
-        "_stamps",
+        "_keys",
+        "_flows",
     )
 
     def __init__(self, capacity_bytes: int, n_bands: int = 8) -> None:
@@ -173,7 +183,8 @@ class PFabricQueue:
         self.bytes_queued = 0
         self.pkts_queued = 0  # == len(pkts); attribute so ports read it O(1)
         self._arrival_seq = 0
-        self._stamps: List[int] = []  # arrival order, parallel to pkts
+        self._keys: List[Tuple[int, int]] = []  # (remaining, stamp), parallel to pkts
+        self._flows: List[Optional[Flow]] = []  # pkt.flow, parallel to pkts
 
     def push(self, pkt: Packet) -> List[Packet]:
         """Enqueue with priority-aware eviction; returns dropped packets.
@@ -182,62 +193,48 @@ class PFabricQueue:
         """
         self._arrival_seq += 1
         self.pkts.append(pkt)
-        self._stamps.append(self._arrival_seq)
+        keys = self._keys
+        keys.append((pkt.remaining, self._arrival_seq))
+        self._flows.append(pkt.flow)
         self.bytes_queued += pkt.size
         self.pkts_queued += 1
         if self.bytes_queued <= self.capacity_bytes:
             return _NO_DROP
         dropped: List[Packet] = []
-        while self.bytes_queued > self.capacity_bytes and self.pkts:
-            victim_idx = self._worst_index()
-            victim = self.pkts.pop(victim_idx)
-            self._stamps.pop(victim_idx)
-            self.bytes_queued -= victim.size
-            self.pkts_queued -= 1
-            dropped.append(victim)
+        while self.bytes_queued > self.capacity_bytes and keys:
+            dropped.append(self._take(keys.index(max(keys))))
         return dropped
-
-    def _worst_index(self) -> int:
-        """Index of the least-urgent packet (largest remaining; ties:
-        most recently arrived, so older packets survive)."""
-        worst = 0
-        worst_key = (self.pkts[0].remaining, self._stamps[0])
-        for i in range(1, len(self.pkts)):
-            key = (self.pkts[i].remaining, self._stamps[i])
-            if key > worst_key:
-                worst_key = key
-                worst = i
-        return worst
 
     def pop(self) -> Optional[Packet]:
         if not self.pkts:
             return None
-        pkts = self.pkts
-        # 1. most urgent packet
-        best = 0
-        best_key = (pkts[0].remaining, self._stamps[0])
-        for i in range(1, len(pkts)):
-            key = (pkts[i].remaining, self._stamps[i])
-            if key < best_key:
-                best_key = key
-                best = i
-        urgent = pkts[best]
-        # 2. earliest queued packet of that packet's flow
-        flow = urgent.flow
-        chosen = best
-        if flow is not None:
-            for i, p in enumerate(pkts):
-                if p.flow is flow:
-                    chosen = i
-                    break
-        pkt = pkts.pop(chosen)
-        self._stamps.pop(chosen)
+        return self._take(self._next_index())
+
+    def peek(self) -> Optional[Packet]:
+        """The packet :meth:`pop` would return, without removing it."""
+        if not self.pkts:
+            return None
+        return self.pkts[self._next_index()]
+
+    def _next_index(self) -> int:
+        """Index of the earliest queued packet of the most urgent
+        packet's flow (never called empty)."""
+        keys = self._keys
+        if len(keys) == 1:
+            return 0
+        urgent = keys.index(min(keys))
+        flow = self._flows[urgent]
+        if flow is None:
+            return urgent
+        return self._flows.index(flow)
+
+    def _take(self, index: int) -> Packet:
+        pkt = self.pkts.pop(index)
+        del self._keys[index]
+        del self._flows[index]
         self.bytes_queued -= pkt.size
         self.pkts_queued -= 1
         return pkt
-
-    def peek(self) -> Optional[Packet]:
-        return self.pkts[0] if self.pkts else None
 
     def __len__(self) -> int:
         return len(self.pkts)

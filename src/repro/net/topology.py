@@ -129,6 +129,7 @@ class Fabric:
         self.dropped_packets: List[Packet] = []
         self.keep_dropped = False  # tests can flip this on
         self.drop_hook: Optional[Callable[[Packet, int], None]] = None
+        self.pool = None  # PacketPool, set by the runner when pooling is on
         # Injected-fault drops (repro.faults) are ledgered separately
         # from the congestion drops above so golden digests and the
         # Fig. 5e/f drop accounting are untouched by fault plans.
@@ -231,6 +232,10 @@ class Fabric:
             self.dropped_packets.append(pkt)
         if self.drop_hook is not None:
             self.drop_hook(pkt, hop_index)
+        # A drop is a packet's end of life, like delivery: once the
+        # hooks have seen it nothing refers to it, unless we keep it.
+        if self.pool is not None and not self.keep_dropped:
+            self.pool.release(pkt)
 
     def record_fault_drop(self, pkt: Packet, hop_index: int, reason: str = "fault") -> None:
         """Ledger one injected drop (loss model, dead link, scripted)."""
@@ -239,6 +244,8 @@ class Fabric:
         self.fault_drops_by_reason[reason] = self.fault_drops_by_reason.get(reason, 0) + 1
         if self.fault_drop_hook is not None:
             self.fault_drop_hook(pkt, hop_index)
+        if self.pool is not None:
+            self.pool.release(pkt)
 
     # ------------------------------------------------------------------
     def host(self, host_id: int) -> Host:

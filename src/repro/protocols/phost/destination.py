@@ -18,7 +18,8 @@ Three mechanisms from §3.2/§3.4 are implemented here:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Set
+from heapq import heapify, heappop, heappush
+from typing import Deque, Dict, Optional, Sequence, Set
 
 from repro.protocols.phost.config import PHostConfig
 from repro.protocols.phost.policies import SchedulingPolicy, TenantCounters
@@ -26,6 +27,10 @@ from repro.net.packet import Flow, Packet, PacketType
 from repro.sim.engine import EventLoop
 
 __all__ = ["PHostDestination", "DestFlowState"]
+
+#: Superseded entries are swept out of a grant index once it holds more
+#: than twice as many entries as there are flows plus this slack.
+_RANK_SLACK = 64
 
 
 class DestFlowState:
@@ -46,6 +51,7 @@ class DestFlowState:
         "complete",
         "last_progress",
         "reissue_armed",
+        "rank",
     )
 
     def __init__(self, flow: Flow, free_tokens: int, now: float) -> None:
@@ -66,13 +72,20 @@ class DestFlowState:
         self.complete = False
         self.last_progress = now
         self.reissue_armed = False
+        #: This flow's live entry in the destination's grant index.
+        self.rank: Optional[list] = None
 
     # ------------------------------------------------------------------
+    def has_grants(self) -> bool:
+        """Is there a packet left to grant a token for (a queued
+        regrant, or one never granted)?"""
+        return bool(self.regrant) or self.next_new < self.flow.n_pkts
+
     def eligible(self, now: float) -> bool:
         """May this flow be granted a token right now?"""
         if self.complete or now < self.downgrade_until:
             return False
-        return bool(self.regrant) or self.next_new < self.flow.n_pkts
+        return self.has_grants()
 
     def remaining_hint(self) -> int:
         """Packets still missing (the SRPT grant key)."""
@@ -148,6 +161,13 @@ class PHostDestination:
         self.duplicate_data = 0
         self._timer: Optional[list] = None
         self._next_grant_time = 0.0
+        # Grant index: a heap of ``[*policy key, state]`` over the flows
+        # that have something to grant, so a pick reads the top instead
+        # of keying every flow per token.  Deletion is lazy: an entry
+        # counts only while it is its state's ``rank`` and the state is
+        # still grantable.  None when the policy's key is not a
+        # function of the flow alone; picks then scan ``self.states``.
+        self._ranked: Optional[list] = [] if grant_policy.flow_local_key else None
 
     # ------------------------------------------------------------------
     # RTS handling
@@ -164,12 +184,18 @@ class PHostDestination:
             # Duplicate RTS: the source believes it is stuck.  Re-queue
             # whatever is missing (cheap no-op when nothing is).
             if self._stale(state):
-                state.queue_regrants(state.missing())
+                self._queue_regrants(state, state.missing())
         self._maybe_start_timer()
 
     def _create_state(self, flow: Flow) -> DestFlowState:
         state = DestFlowState(flow, self.config.free_tokens, self.env.now)
         self.states[flow.fid] = state
+        if len(self.states) == 2:
+            # The flow that was alone has not been re-keyed (on_data).
+            for other in self.states.values():
+                self._rank(other)
+        else:
+            self._rank(state)
         self._arm_reissue(state)
         return state
 
@@ -200,10 +226,13 @@ class PHostDestination:
         if len(state.received) >= flow.n_pkts:
             self._complete(state)
         else:
+            if len(self.states) > 1:  # a lone flow wins under any key
+                self._rank(state)  # one packet fewer remaining: new key
             self._maybe_start_timer()
 
     def _complete(self, state: DestFlowState) -> None:
         state.complete = True
+        state.rank = None
         self.states.pop(state.flow.fid, None)
         self.finished.add(state.flow.fid)
         self.agent.collector.flow_completed(state.flow, self.env.now)
@@ -223,15 +252,7 @@ class PHostDestination:
         if timer is not None and timer[2] is not None:  # inline is_pending
             return
         now = self.env.now
-        # Inline of DestFlowState.eligible() over the (usually tiny)
-        # state dict — this runs on every data arrival, so the method
-        # call and generator frame are worth shaving.
-        for s in self.states.values():
-            if not s.complete and now >= s.downgrade_until and (
-                s.regrant or s.next_new < s.flow.n_pkts
-            ):
-                break
-        else:
+        if self._pick(now) is None:
             return
         when = max(now, self._next_grant_time)
         self._timer = self.env.schedule_at(when, self._grant_tick)
@@ -239,26 +260,80 @@ class PHostDestination:
     def _grant_tick(self) -> None:
         self._timer = None
         now = self.env.now
-        candidates = [s for s in self.states.values() if s.eligible(now)]
-        while candidates:
-            if len(candidates) == 1:  # overwhelmingly the common case
-                state = candidates[0]
-            else:
-                state = self.policy.select(candidates, self.tenant_received)
+        tried = []  # picked on this tick, yet got no token
+        while True:
+            state = self._pick(now, tried)
+            if state is None:
+                break
             if (
                 state.outstanding >= self.config.downgrade_threshold
                 and now - state.last_progress >= self.config.downgrade_stale
             ):
                 self._downgrade(state)
-                candidates.remove(state)
-                continue
-            seq = state.next_grant_seq()
-            if seq is None:
-                candidates.remove(state)
-                continue
-            self._grant(state, seq)
-            break
+            else:
+                seq = state.next_grant_seq()
+                if seq is not None:
+                    self._grant(state, seq)
+                    break
+            tried.append(state)
         self._maybe_start_timer()
+
+    def _pick(self, now: float, tried: Sequence[DestFlowState] = ()) -> Optional[DestFlowState]:
+        """The eligible flow the grant policy ranks first (``tried``
+        ones excepted), or None."""
+        heap = self._ranked
+        if heap is None:
+            candidates = [
+                s for s in self.states.values() if s.eligible(now) and s not in tried
+            ]
+            if len(candidates) > 1:
+                return self.policy.select(candidates, self.tenant_received)
+            return candidates[0] if candidates else None
+        best = None
+        aside = []
+        while heap:
+            entry = heap[0]
+            state = entry[-1]
+            if state.rank is not entry:  # re-keyed since, or completed
+                heappop(heap)
+            elif not state.has_grants():
+                heappop(heap)  # every packet granted: nothing to pick it for
+                state.rank = None
+            elif now < state.downgrade_until or state in tried:
+                # Passed over, not dropped: a grant tick and the end of
+                # a downgrade can share a timestamp, so the test is made
+                # here, at pick time, exactly as eligible() makes it.
+                aside.append(heappop(heap))
+            else:
+                best = state
+                break
+        for entry in aside:
+            heappush(heap, entry)
+        return best
+
+    def _rank(self, state: DestFlowState) -> None:
+        """Index ``state`` under its current policy key.  Called
+        whenever the key can have moved (state creation, each accepted
+        data packet) or the flow can have become grantable again
+        (queued regrants); a flow that runs out of packets to grant is
+        dropped when it next surfaces in :meth:`_pick`."""
+        heap = self._ranked
+        if heap is None:
+            return
+        if not state.has_grants():
+            state.rank = None
+            return
+        entry = [*self.policy.key(state, None), state]
+        state.rank = entry
+        heappush(heap, entry)
+        if len(heap) > 2 * (len(self.states) + _RANK_SLACK):
+            heap[:] = [e for e in heap if e[-1].rank is e]
+            heapify(heap)
+
+    def _queue_regrants(self, state: DestFlowState, seqs) -> None:
+        state.queue_regrants(seqs)
+        if state.rank is None:
+            self._rank(state)
 
     def _grant(self, state: DestFlowState, seq: int) -> None:
         now = self.env.now
@@ -293,7 +368,9 @@ class PHostDestination:
         # the source for the packets that were not received."  Only
         # grants that demonstrably lapsed are re-queued; free-budget
         # packets are reclaimed by the slower reissue path.
-        state.queue_regrants(state.expired_missing(self.env.now, self.config.retx_timeout))
+        self._queue_regrants(
+            state, state.expired_missing(self.env.now, self.config.retx_timeout)
+        )
         state.last_progress = self.env.now
         self._maybe_start_timer()
 
@@ -317,7 +394,7 @@ class PHostDestination:
                 # expiry-less free-budget packets are presumed lost.
                 missing |= state.missing()
             if missing:
-                state.queue_regrants(missing)
+                self._queue_regrants(state, missing)
                 self._maybe_start_timer()
             wait = self.config.retx_timeout
         else:

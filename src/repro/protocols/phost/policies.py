@@ -67,6 +67,16 @@ class SchedulingPolicy:
 
     name = "abstract"
 
+    #: True promises that :meth:`key` is a function of the flow alone —
+    #: it reads only ``state.flow`` and ``state.remaining_hint()``,
+    #: ignores ``ctx``, and ends in ``flow.fid`` so that no two flows
+    #: share a key.  The destination then keeps its grantable flows in a
+    #: heap ordered by key, re-keying a flow only when it accepts data,
+    #: instead of calling :meth:`key` on every flow per token.  The
+    #: default (False) is always safe: every pick scans with
+    #: :meth:`select`.
+    flow_local_key = False
+
     def key(self, state, ctx: Optional[TenantCounters]):  # pragma: no cover
         raise NotImplementedError
 
@@ -89,6 +99,7 @@ class SRPTPolicy(SchedulingPolicy):
     """Fewest remaining packets first; flow arrival breaks ties."""
 
     name = "srpt"
+    flow_local_key = True
 
     def key(self, state, ctx=None):
         return (state.remaining_hint(), state.flow.arrival, state.flow.fid)
@@ -98,6 +109,7 @@ class EDFPolicy(SchedulingPolicy):
     """Earliest deadline first; deadline-less flows sort last (by SRPT)."""
 
     name = "edf"
+    flow_local_key = True
 
     def key(self, state, ctx=None):
         deadline = state.flow.deadline
@@ -110,6 +122,7 @@ class FIFOPolicy(SchedulingPolicy):
     """Oldest flow first."""
 
     name = "fifo"
+    flow_local_key = True
 
     def key(self, state, ctx=None):
         return (state.flow.arrival, state.flow.fid)

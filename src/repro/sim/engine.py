@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.sim.wheel import TimerWheel
 
@@ -166,6 +166,44 @@ class EventLoop:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         return self.schedule_timer_at(self.now + delay, fn, *args)
+
+    def schedule_series(
+        self, events: Iterable[Tuple[float, Callable[..., Any], tuple]], count: int
+    ) -> None:
+        """Schedule ``fn(*args)`` at ``when`` for each of the ``count``
+        ``(when, fn, args)`` triples ``events`` yields in time order,
+        holding only the next one in the heap.
+
+        The sequence numbers ``count`` consecutive :meth:`schedule_at`
+        calls would draw are reserved now, and every event pushes its
+        successor — under its reserved number — before it runs.  Dispatch
+        order (equal timestamps included) and ``events_processed`` are
+        therefore exactly those of scheduling the whole series up front,
+        but the heap carries one entry for it instead of ``count``, and
+        ``events`` is consumed one item ahead of the clock.  Series
+        events cannot be cancelled.
+        """
+        first = self._seq + 1
+        self._seq += count
+        self._series_step(iter(events), first, first + count, None, ())
+
+    def _series_step(
+        self, events: Iterator, seq: int, end: int, fn: Optional[Callable[..., Any]], args: tuple
+    ) -> None:
+        """Push the series' next event (number ``seq``), then run this one."""
+        if seq < end:
+            when, next_fn, next_args = next(events)
+            if when < self.now:
+                raise SimulationError(
+                    f"series is not in time order: {when} < now={self.now}"
+                )
+            heapq.heappush(
+                self._heap,
+                [when, seq, self._series_step, (events, seq + 1, end, next_fn, next_args), self],
+            )
+            self._live += 1
+        if fn is not None:
+            fn(*args)
 
     @staticmethod
     def cancel(entry: Optional[list]) -> None:

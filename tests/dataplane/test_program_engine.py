@@ -14,6 +14,7 @@ Two kinds of coverage:
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.dataplane import (
     CommodityProgram,
@@ -170,6 +171,67 @@ def test_engine_peek_matches_pop_without_removal():
     assert q.peek() is b
     assert len(q) == 2
     assert q.pop() is b
+
+
+@pytest.mark.parametrize("kind", ["class", "program"])
+def test_pfabric_peek_matches_pop_without_removal(kind):
+    """peek() applies the dequeue rule, starvation avoidance included:
+    it is not the head of the buffer."""
+    q = pfabric_queue(kind, 100_000)
+    flow = Flow(1, 0, 1, 100_000, 0.0)
+    head = make_pkt(remaining=5, flow=Flow(2, 0, 1, 100_000, 0.0))
+    older = make_pkt(remaining=9, flow=flow, seq=0)
+    newer = make_pkt(remaining=2, flow=flow, seq=7)
+    for pkt in (head, older, newer):
+        q.push(pkt)
+    assert q.peek() is older  # flow chosen via `newer`; its oldest packet goes
+    assert len(q) == 3
+    assert q.pop() is older
+    assert q.peek() is newer and q.pop() is newer
+    assert q.peek() is head and q.pop() is head
+    assert q.peek() is None
+
+
+# ----------------------------------------------------------------------
+# PFabricQueue against its specification, the pFabric program
+# ----------------------------------------------------------------------
+
+_FLOWS = [None] + [Flow(fid, 0, 1, 100_000, 0.0) for fid in (1, 2, 3)]
+
+_pfabric_ops = st.lists(
+    st.one_of(
+        st.just(("pop",)),
+        st.tuples(
+            st.just("push"),
+            st.sampled_from([40, 40, 700, 1500]),  # control packets and data
+            st.integers(min_value=0, max_value=4),  # few values: ties in remaining
+            st.sampled_from(_FLOWS),
+        ),
+    ),
+    max_size=120,
+)
+
+
+@given(_pfabric_ops, st.sampled_from([0, 1500, 3100, 6000]))
+@example([("push", 40, 3, None)] * 30 + [("push", 1500, 0, None)], 1500)  # 30 victims
+def test_pfabric_queue_matches_the_program_engine(ops, capacity):
+    """Random push/pop sequences give the same drops, in the same
+    order, and the same dequeue order on the hand-written class and on
+    the generic engine running the reference program.  A 1500-byte
+    arrival into a buffer of 40-byte packets overflows by several
+    victims at once."""
+    fast = PFabricQueue(capacity)
+    spec = ProgramQueue(PFabricProgram(), capacity)
+    for serial, op in enumerate(ops):
+        if op[0] == "push":
+            _, size, remaining, flow = op
+            pkt = make_pkt(size, remaining=remaining, flow=flow, seq=serial)
+            assert fast.push(pkt) == spec.push(pkt)  # same victims, same order
+        else:
+            assert fast.peek() is spec.peek()
+            assert fast.pop() is spec.pop()
+        assert fast.pkts == spec.pkts
+        assert (fast.bytes_queued, fast.pkts_queued) == (spec.bytes_queued, spec.pkts_queued)
 
 
 def test_meter_mark_counts_without_dropping():

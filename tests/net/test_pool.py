@@ -85,3 +85,99 @@ def test_runner_disables_pooling_for_packet_retaining_hooks():
     keeper_ctx = build_simulation(spec.variant(instruments=(Keeper(),)))
     assert not keeper_ctx.pool.enabled
     assert all(h.pool is None for h in keeper_ctx.fabric.hosts)
+    assert keeper_ctx.fabric.pool is None  # the drop path stays out of it too
+
+
+def test_over_cap_release_goes_back_to_the_store():
+    pool = PacketPool(enabled=True, max_free=2)
+    flow = make_flow()
+    pkts = [pool.data(flow, i, flow.src, flow.dst, 1500, 1, 0.0) for i in range(5)]
+    for p in pkts:
+        pool.release(p)
+    cols = pool.columns
+    # two slots parked in the pool; three handed back, none retired
+    assert cols.in_use == 2 and cols.stats()["free"] == 3
+    again = [pool.data(flow, i, flow.src, flow.dst, 1500, 1, 0.0) for i in range(5)]
+    assert {p.slot for p in again} == {p.slot for p in pkts}  # no fresh slot
+    assert cols.in_use == 5 and cols.stats()["free"] == 0
+
+
+# ----------------------------------------------------------------------
+# A drop ends a packet's life too
+# ----------------------------------------------------------------------
+
+def _pfabric_ctx():
+    from repro.experiments.defaults import make_spec
+    from repro.experiments.runner import build_simulation
+
+    return build_simulation(make_spec("pfabric", "websearch", "tiny", seed=42))
+
+
+def _overflow_nic(ctx, flow):
+    """Push data into host 0's NIC queue until it evicts one packet."""
+    pool, port = ctx.pool, ctx.fabric.hosts[0].port
+    sent = []
+    while ctx.fabric.drops_total == 0:
+        pkt = pool.data(flow, len(sent), flow.src, flow.dst, 1500, 1, 0.0)
+        pkt.remaining = len(sent)  # later packets are less urgent
+        sent.append(pkt)
+        port.send(pkt)
+    return sent
+
+
+def test_dropped_packet_slot_is_reused_by_the_next_acquire():
+    ctx = _pfabric_ctx()
+    flow = make_flow(n_pkts=100)
+    victim = _overflow_nic(ctx, flow)[-1]  # least urgent: the incoming one
+    assert victim.flow is None  # reset on release
+    nxt = ctx.pool.data(flow, 99, flow.src, flow.dst, 1500, 1, 0.0)
+    assert nxt is victim
+    assert ctx.pool.reused == 1
+
+
+def test_keep_dropped_retains_packets_with_their_fields():
+    ctx = _pfabric_ctx()
+    ctx.fabric.keep_dropped = True  # flipped after construction, read per drop
+    flow = make_flow(n_pkts=100)
+    sent = _overflow_nic(ctx, flow)
+    (kept,) = ctx.fabric.dropped_packets
+    assert kept is sent[-1]
+    assert kept.flow is flow and kept.seq == len(sent) - 1 and kept.remaining == kept.seq
+    nxt = ctx.pool.data(flow, 99, flow.src, flow.dst, 1500, 1, 0.0)
+    assert nxt is not kept
+    assert ctx.pool.reused == 0
+
+
+def test_fault_drop_releases_the_slot():
+    ctx = _pfabric_ctx()
+    flow = make_flow()
+    pkt = ctx.pool.data(flow, 0, flow.src, flow.dst, 1500, 1, 0.0)
+    ctx.fabric.record_fault_drop(pkt, 2, "loss")
+    assert ctx.pool.data(flow, 1, flow.src, flow.dst, 1500, 1, 0.0) is pkt
+
+
+def test_incast_store_tracks_packets_in_flight_not_drops():
+    """pFabric drops on purpose under incast; the store must not keep a
+    slot per drop."""
+    from repro.experiments.defaults import SCALES
+    from repro.experiments.runner import run_incast
+
+    class Probe:
+        ctx = None
+
+        def bind(self, ctx):
+            self.ctx = ctx
+
+    probe = Probe()
+    n_senders = 9
+    run_incast(
+        "pfabric", n_senders=n_senders, total_bytes=1_000_000, n_requests=3,
+        topology=SCALES["tiny"].topology, seed=7, instruments=(probe,),
+    )
+    ctx = probe.ctx
+    pool, drops = ctx.pool, ctx.fabric.drops_total
+    assert drops > 1000
+    # Every sender keeps at most a window of data in the network, plus
+    # the ACKs coming back: a few hundred slots, however many drops.
+    assert pool.allocated <= 4 * n_senders * ctx.config.init_cwnd < drops
+    assert pool.columns.in_use == pool.allocated

@@ -531,3 +531,79 @@ def test_cancel_from_clock_watcher_sees_dead_entry():
     assert fired == ["late"]  # the callback still ran exactly once
     assert env.pending_count() == 0
     assert env._cancelled == 0
+
+
+# ----------------------------------------------------------------------
+# schedule_series: a sorted series held one entry at a time
+# ----------------------------------------------------------------------
+
+def _series_vs_upfront(times, extra):
+    """Dispatch logs of the same events scheduled up front and as a
+    series; ``extra`` events are scheduled after the series either way,
+    and every series event schedules a follow-up at its own timestamp."""
+    logs = []
+    for streamed in (False, True):
+        env = EventLoop()
+        log = []
+
+        def arrive(i, env=env, log=log):
+            log.append(("arrive", i, env.now))
+            env.schedule(0.0, log.append, ("after", i))
+
+        if streamed:
+            env.schedule_series(((t, arrive, (i,)) for i, t in enumerate(times)), len(times))
+        else:
+            for i, t in enumerate(times):
+                env.schedule_at(t, arrive, i)
+        for j, t in enumerate(extra):
+            env.schedule_at(t, log.append, ("extra", j))
+        env.run()
+        logs.append((log, env.events_processed, env._seq))
+    return logs
+
+
+def test_series_dispatches_like_upfront_scheduling_with_ties():
+    times = [0.0, 1e-6, 1e-6, 1e-6, 2e-6, 5e-6, 5e-6]
+    upfront, streamed = _series_vs_upfront(times, extra=[1e-6, 0.0, 5e-6, 9e-6])
+    assert streamed == upfront
+    assert [e for e in streamed[0] if e[0] == "arrive"][:4] == [
+        ("arrive", 0, 0.0), ("arrive", 1, 1e-6), ("arrive", 2, 1e-6), ("arrive", 3, 1e-6),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=6), max_size=25).map(sorted),
+    st.lists(st.integers(min_value=0, max_value=7), max_size=8),
+)
+def test_property_series_equals_upfront(ticks, extra_ticks):
+    upfront, streamed = _series_vs_upfront(
+        [t * 1e-6 for t in ticks], [t * 1e-6 for t in extra_ticks]
+    )
+    assert streamed == upfront
+
+
+def test_series_keeps_one_entry_in_the_heap():
+    env = EventLoop()
+    depths = []
+    n = 500
+    env.schedule_series(
+        ((i * 1e-6, lambda: depths.append(env.pending_count()), ()) for i in range(n)), n
+    )
+    assert env.pending_count() == 1
+    env.run()
+    assert len(depths) == n and max(depths) == 1  # the successor, nothing more
+    assert env.events_processed == n
+
+
+def test_series_out_of_time_order_is_an_error():
+    env = EventLoop()
+    env.schedule_series(iter([(2e-6, int, ()), (1e-6, int, ())]), 2)
+    with pytest.raises(SimulationError):
+        env.run()
+
+
+def test_empty_series_schedules_nothing():
+    env = EventLoop()
+    env.schedule_series(iter(()), 0)
+    assert env.pending_count() == 0 and env.run() == 0
