@@ -98,23 +98,6 @@ def _instances(size: str):
         out[f"fig3-{proto}"] = run_fig3
         out[f"fig5-{proto}"] = run_fig5
         out[f"fig9c-{proto}"] = run_fig9c
-
-        if size != "small":
-
-            def run_fig3_sharded(proto=proto):
-                # Stability sampling is digest-inert but unsupported
-                # under sharding; zeroed so the digest stays comparable
-                # with the serial fig3 row.
-                res = run_experiment(
-                    make_spec(proto, "websearch", scale, seed=42).variant(
-                        stability_samples=0,
-                        tuning=SimTuning(shards=4, shard_transport="processes"),
-                    )
-                )
-                pkts = res.data_pkts_injected + res.control_pkts_sent
-                return res, run_digest(res), res.events_processed, pkts
-
-            out[f"fig3-{proto}-shards4"] = run_fig3_sharded
     return out
 
 

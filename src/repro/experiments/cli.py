@@ -106,27 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(SCALES),
         help="run-size preset (default: bench)",
     )
-    parser.add_argument(
-        "--shards",
-        default=None,
-        metavar="N|auto|off",
-        help=(
-            "sharded per-rack execution for --run/--sweep (SimTuning."
-            "shards): an explicit shard count, 'auto' (racks/CPUs "
-            "capped), or 'off' (default).  Digests are byte-identical "
-            "to the serial run; unsupported specs warn and run serially"
-        ),
-    )
-    parser.add_argument(
-        "--shard-transport",
-        default=None,
-        choices=("auto", "inprocess", "processes"),
-        help=(
-            "executor for --shards: 'processes' (forked workers), "
-            "'inprocess' (sequential, for debugging), or 'auto' "
-            "(default: processes when sharding and fork is available)"
-        ),
-    )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--load", type=float, default=0.6, help="network load for --run")
     parser.add_argument("--flows", type=int, default=None, help="flow count for --run")
@@ -450,14 +429,6 @@ def _result_dict(result: ExperimentResult) -> dict:
     from repro.validate import run_digest
 
     payload["run_digest"] = run_digest(result)
-    if result.shard_stats is not None:
-        stats = result.shard_stats
-        payload["shards"] = {
-            "n_shards": stats.n_shards,
-            "transport": stats.transport,
-            "rounds": stats.rounds,
-            "events_per_shard": [s.events_processed for s in stats.shards],
-        }
     return payload
 
 
@@ -547,24 +518,6 @@ def _list_dataplanes(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_variant(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    """Apply ``--shards``/``--shard-transport`` onto the spec's tuning."""
-    changes: dict = {}
-    shards = getattr(args, "shards", None)
-    if shards is not None:
-        changes["shards"] = shards if shards in ("auto", "off") else int(shards)
-    if getattr(args, "shard_transport", None) is not None:
-        changes["shard_transport"] = args.shard_transport
-    if not changes:
-        return spec
-    from dataclasses import replace as _dc_replace
-
-    from repro.sim.tuning import SimTuning
-
-    tuning = spec.tuning if spec.tuning is not None else SimTuning()
-    return spec.variant(tuning=_dc_replace(tuning, **changes))
-
-
 def _run_single(args: argparse.Namespace) -> int:
     protocol, workload = args.run
     overrides = dict(load=args.load, seed=args.seed)
@@ -583,7 +536,7 @@ def _run_single(args: argparse.Namespace) -> int:
         faults=_fault_plan(args),
         **workload_changes,
     )
-    result = run_experiment(_shard_variant(spec, args))
+    result = run_experiment(spec)
     _emit_result(result, args.json)
     _handle_telemetry(result, args)
     _store_result(result, args)
@@ -612,7 +565,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         except TypeError:
             print(f"error: ExperimentSpec has no field {field_name!r}", file=sys.stderr)
             return 2
-        result = run_experiment(_shard_variant(spec, args))
+        result = run_experiment(spec)
         table.add_row(
             **{
                 field_name: value,
@@ -644,7 +597,7 @@ def _run_replay(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     flows = load_flows(args.replay, n_hosts=preset.topology.n_hosts)
-    result = run_flow_list(_shard_variant(spec, args), flows)
+    result = run_flow_list(spec, flows)
     _emit_result(result, args.json)
     _handle_telemetry(result, args)
     _store_result(result, args)

@@ -15,8 +15,8 @@ stderr :class:`~repro.experiments.progress.ProgressPrinter`) and every
 worker fans :class:`~repro.experiments.progress.ProgressEvent`\\ s back
 over a queue — a ``start`` marker, ``running`` heartbeats carried by
 the event-loop profiler's wall-clock heartbeat (ev/s, sim time, ETA),
-and a terminal ``done``/``error`` per spec.  The profiler's twin
-dispatch loop observes the run without touching it, so progress
+and a terminal ``done``/``error`` per spec.  The profiler observes the
+run's one dispatch loop without touching its schedule, so progress
 reporting never changes digests or event counts.
 """
 
@@ -67,13 +67,6 @@ def _run_with_heartbeats(
     from repro.sim.randoms import SeededRng
 
     label = spec_label(spec)
-
-    tuning = spec.tuning
-    if tuning is not None and tuning.shards != "off":
-        # Sharded runs own their event loops (one per shard worker), so
-        # the single-loop heartbeat profiler cannot observe them; run
-        # through the normal dispatcher and report only start/done.
-        return run_experiment(spec)
 
     def on_heartbeat(hb: Heartbeat) -> None:
         emit(
@@ -188,23 +181,12 @@ def run_experiments_parallel(
     "print heartbeat lines to stderr"); ``heartbeat_wall_seconds``
     spaces the ``running`` heartbeats.  Progress observation is free of
     behavioural side effects — results remain byte-identical.
-
-    Cross-run and in-run parallelism compose: when specs request
-    sharded execution (``tuning.shards``), the default process budget
-    is divided by the widest run's shard count so the two layers do not
-    oversubscribe the machine.  Sharded runs inside pool workers use
-    the in-process shard executor automatically (daemonic workers
-    cannot fork again), so an explicit ``processes=`` cap still yields
-    correct, merely narrower, runs.
     """
     specs = list(specs)
     if not specs:
         return []
     if processes is None:
-        from repro.sim.shard import shard_width_hint
-
-        width = max(shard_width_hint(spec) for spec in specs)
-        processes = min(len(specs), max(1, _available_cpus() // width))
+        processes = min(len(specs), _available_cpus())
     if processes < 1:
         raise ValueError("processes must be >= 1")
     sink: Optional[Callable[[ProgressEvent], None]]

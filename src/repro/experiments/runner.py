@@ -114,35 +114,24 @@ def _resolve_dataplane(spec: ExperimentSpec, proto, tuning: SimTuning):
     return binding, switch_qf, host_qf
 
 
-def build_simulation(
-    spec: ExperimentSpec,
-    env: Optional[EventLoop] = None,
-    collector: Optional[MetricsCollector] = None,
-    fabric_cls: Optional[type] = None,
-) -> SimContext:
+def build_simulation(spec: ExperimentSpec) -> SimContext:
     """Instantiate env + fabric + agents for a spec (no flows yet).
 
     Returns the run's :class:`~repro.sim.context.SimContext` (event
     loop, RNG, fabric, collector, resolved protocol config, protocol
     shared state, instrumentation hooks).  Exposed so tests and custom
-    drivers (incast, examples) can reuse the wiring.  The ``env`` /
-    ``collector`` / ``fabric_cls`` overrides exist for the sharded
-    executor (:mod:`repro.sim.shard`), which substitutes lineage-keyed
-    loops and journaling subclasses while reusing all of this wiring.
+    drivers (incast, examples) can reuse the wiring.
     """
     tuning = spec.tuning if spec.tuning is not None else SimTuning()
-    if env is None:
-        env = EventLoop()
+    env = EventLoop()
     env.timer_wheel_enabled = tuning.timer_wheel
     rng = SeededRng(spec.seed)
     proto = get_protocol(spec.protocol)
     topo = spec.with_topology_buffer()
-    if collector is None:
-        collector = MetricsCollector()
+    collector = MetricsCollector()
     from repro.net.fattree import FatTreeConfig, FatTreeFabric
 
-    if fabric_cls is None:
-        fabric_cls = FatTreeFabric if isinstance(topo, FatTreeConfig) else Fabric
+    fabric_cls = FatTreeFabric if isinstance(topo, FatTreeConfig) else Fabric
     binding, switch_qf, host_qf = _resolve_dataplane(spec, proto, tuning)
     fabric = fabric_cls(
         env,
@@ -272,15 +261,6 @@ def _default_time_guard(spec: ExperimentSpec, flows: List[Flow]) -> float:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run one simulation to completion (or its time guard)."""
-    tuning = spec.tuning if spec.tuning is not None else SimTuning()
-    if tuning.shards != "off":
-        from repro.sim.shard import run_sharded
-
-        result = run_sharded(spec)
-        if result is not None:
-            return result
-        # Unsupported spec: run_sharded warned and declined; fall
-        # through to the byte-identical serial reference path.
     ctx = build_simulation(spec)
     rng = SeededRng(spec.seed)
     flows = _generate_flows(spec, ctx.fabric, rng)

@@ -198,9 +198,6 @@ class ExperimentResult:
     #: ObsReport when spec.observability was set (see repro.obs);
     #: None otherwise.  Plain data — survives pickling to workers.
     telemetry: Optional[Any] = None
-    #: ShardRunStats when the run executed under repro.sim.shard
-    #: (tuning.shards != "off"); None for serial runs.  Plain data.
-    shard_stats: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Metric shortcuts (all over completed flows)

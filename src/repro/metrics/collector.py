@@ -12,7 +12,6 @@ versus packets *injected* (transmitted at least once by a source).
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional
 
 from repro.net.packet import Flow, Packet
@@ -55,31 +54,12 @@ class MetricsCollector:
         # each must expose flow_arrived/flow_completed/data_sent/
         # data_delivered/control_sent.  ``add_observer`` is the
         # attachment point — observers stack, so a tracer, the auditors
-        # and telemetry sinks coexist on one run.  ``_legacy_observer``
-        # backs the deprecated single-slot ``observer`` property.
-        self._legacy_observer = None
+        # and telemetry sinks coexist on one run.
         self._observers: List = []
 
     def add_observer(self, observer) -> None:
         """Register an event observer (tracers, auditors, sinks stack)."""
         self._observers.append(observer)
-
-    @property
-    def observer(self):
-        """Deprecated single-observer slot; use :meth:`add_observer`."""
-        return self._legacy_observer
-
-    @observer.setter
-    def observer(self, value) -> None:
-        if value is not None:
-            warnings.warn(
-                "MetricsCollector.observer is deprecated; use "
-                "add_observer() — observers stack, the single slot "
-                "does not",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._legacy_observer = value
 
     # ------------------------------------------------------------------
     # Flow lifecycle
@@ -92,8 +72,6 @@ class MetricsCollector:
             self.job_flows_seen[rid] = self.job_flows_seen.get(rid, 0) + 1
         if self.first_arrival is None or now < self.first_arrival:
             self.first_arrival = now
-        if self._legacy_observer is not None:
-            self._legacy_observer.flow_arrived(flow, now)
         for obs in self._observers:
             obs.flow_arrived(flow, now)
 
@@ -108,8 +86,6 @@ class MetricsCollector:
             self.job_flows_done[rid] = self.job_flows_done.get(rid, 0) + 1
         if self.last_completion is None or now > self.last_completion:
             self.last_completion = now
-        if self._legacy_observer is not None:
-            self._legacy_observer.flow_completed(flow, now)
         for obs in self._observers:
             obs.flow_completed(flow, now)
         if self.on_complete is not None:
@@ -123,8 +99,6 @@ class MetricsCollector:
             self.data_pkts_injected += 1
         else:
             self.data_pkts_retransmitted += 1
-        if self._legacy_observer is not None:
-            self._legacy_observer.data_sent(pkt, first_time)
         if self._observers:
             for obs in self._observers:
                 obs.data_sent(pkt, first_time)
@@ -137,8 +111,6 @@ class MetricsCollector:
             self.delivered_bytes_by_tenant[tenant] = (
                 self.delivered_bytes_by_tenant.get(tenant, 0) + payload
             )
-        if self._legacy_observer is not None:
-            self._legacy_observer.data_delivered(pkt)
         if self._observers:
             for obs in self._observers:
                 obs.data_delivered(pkt)
@@ -146,10 +118,6 @@ class MetricsCollector:
     def data_duplicate(self, pkt: Packet) -> None:
         """A destination discarded an already-received data packet."""
         self.data_pkts_duplicate += 1
-        if self._legacy_observer is not None:
-            handler = getattr(self._legacy_observer, "data_duplicate", None)
-            if handler is not None:
-                handler(pkt)
         if self._observers:
             for obs in self._observers:
                 obs.data_duplicate(pkt)
@@ -157,8 +125,6 @@ class MetricsCollector:
     def control_sent(self, pkt: Packet) -> None:
         self.control_pkts_sent += 1
         self.control_bytes_sent += pkt.size
-        if self._legacy_observer is not None:
-            self._legacy_observer.control_sent(pkt)
         if self._observers:
             for obs in self._observers:
                 obs.control_sent(pkt)

@@ -22,6 +22,9 @@ One :class:`RunLedger` owns a directory tree::
 entries diff cleanly and the round trip is byte-identical — asserted in
 ``tests/obs/test_store.py``.  Writing to the ledger happens strictly
 *after* a run finishes; it can never perturb digests or event counts.
+Each file is renamed into place once complete, so a writer killed
+mid-``put`` leaves no truncated ``entry.json`` behind and a retried
+``put`` of that cell simply stores it.
 
 See ``docs/OBSERVABILITY.md`` (§ "The run ledger") for the schema and
 ``repro.obs.report`` / ``scripts/report.py`` for the dashboard and
@@ -66,7 +69,7 @@ SCHEMA_VERSION = 1
 #: Spec fields excluded from the hash: they configure *observation* of a
 #: run (or free-form tagging) or *how it executes* (``tuning`` is
 #: digest-inert by contract, tests/sim/test_determinism.py), never its
-#: behaviour — so a sharded re-run of a stored serial cell is a hit.
+#: behaviour — so a re-run of a stored cell under other knobs is a hit.
 #: The effective tuning is recorded in the entry's ``meta`` instead.
 _HASH_EXCLUDED_FIELDS = ("instruments", "observability", "label", "tuning")
 
@@ -77,6 +80,20 @@ _KEY_CHARS = 16
 
 class LedgerCollisionError(RuntimeError):
     """Same ``(spec_hash, run_digest)`` key, different stored content."""
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step.
+
+    The bytes go to a sibling temporary first (``<name>.<pid>.tmp``, which
+    no reader glob matches) and are renamed over ``path`` only once
+    complete, so a process killed mid-write leaves the previous file, or
+    none, never a truncated one.  The pid keeps concurrent writers of
+    the same key off each other's temporaries.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 # ----------------------------------------------------------------------
@@ -475,13 +492,15 @@ class RunLedger:
 
         entry_dir.mkdir(parents=True, exist_ok=True)
         if telemetry is not None and telemetry.series is not None:
-            (entry_dir / "series.json").write_text(serialize_series(telemetry.series))
+            _write_atomic(entry_dir / "series.json", serialize_series(telemetry.series))
         if result.audit is not None:
-            (entry_dir / "audit.json").write_text(
+            _write_atomic(
+                entry_dir / "audit.json",
                 json.dumps(_jsonable(result.audit.to_dict()), indent=2, sort_keys=True)
-                + "\n"
+                + "\n",
             )
-        entry_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        # entry.json goes last: its presence is what marks the entry stored.
+        _write_atomic(entry_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return LedgerEntry(entry_dir, doc)
 
     # -- reading runs --------------------------------------------------
@@ -530,7 +549,7 @@ class RunLedger:
         if existing:
             seq = int(existing[-1].stem) + 1
         path = self.bench_dir / f"{seq:06d}.json"
-        path.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+        _write_atomic(path, json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
         return path
 
     def bench_reports(self) -> List[Dict[str, Any]]:
@@ -564,7 +583,7 @@ class RunLedger:
         }
         safe = figure.figure.replace("/", "_").replace(":", "_")
         path = self.figures_dir / f"{safe}.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return path
 
     def figures(self) -> Dict[str, Dict[str, Any]]:

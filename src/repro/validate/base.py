@@ -196,15 +196,6 @@ class Auditor:
     def on_fault_drop(self, pkt, hop_index: int) -> None:
         pass
 
-    def boundary_ingress(self, pkt) -> None:
-        """A packet entered this auditor's shard from another shard.
-
-        Only called by the sharded executor (:mod:`repro.sim.shard`);
-        serial runs never see it.  Auditors that keep sender-side state
-        (minted tokens, injected seqs) override this so their ledgers
-        stay consistent when the send happened in a different shard.
-        """
-
     # ------------------------------------------------------------------
     def finalize(self, ctx) -> None:
         """End-of-run reconciliation; called once by the runner."""

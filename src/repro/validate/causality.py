@@ -105,13 +105,6 @@ class CausalityAuditor(Auditor):
         self._observe_time()
         self._arrived.add(flow.fid)
 
-    def boundary_ingress(self, pkt) -> None:
-        # Sharded runs only: the flow's lifecycle started in the
-        # sender's shard, so mark it as arrived here before its packets
-        # start flowing through the local lifecycle checks.
-        if pkt.flow is not None:
-            self._arrived.add(pkt.flow.fid)
-
     def data_sent(self, pkt, first_time: bool) -> None:
         self._observe_time()
         self._check_data_legal(pkt, "sent")

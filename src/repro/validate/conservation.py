@@ -129,20 +129,6 @@ class ConservationAuditor(Auditor):
             )
         seqs.add(pkt.seq)
 
-    def boundary_ingress(self, pkt) -> None:
-        # Sharded runs only: this packet was injected (and audited) in
-        # the sender's shard.  Register just enough sender-side state —
-        # the flow object and, for data, the seq as sent — that the
-        # receive-side checks (delivery-accounted, byte ledger) and the
-        # end-ledger residual stay consistent in this shard.
-        flow = pkt.flow
-        if flow is None:
-            return
-        self._flows.setdefault(flow.fid, flow)
-        if pkt.ptype == PacketType.DATA:
-            self._send_events += 1
-            self._sent.setdefault(flow.fid, set()).add(pkt.seq)
-
     def data_delivered(self, pkt) -> None:
         self._deliver_events += 1
         self._checked("delivery-once")

@@ -53,7 +53,6 @@ class TokenLedgerAuditor(Auditor):
         )
         self._active = False
         self._minted = 0
-        self._ingress_tokens = 0
         self._token_drops = 0
         self._fault_token_drops = 0
 
@@ -96,15 +95,6 @@ class TokenLedgerAuditor(Auditor):
         if self._active and pkt.ptype == PacketType.TOKEN:
             self._token_drops += 1
             self._fault_token_drops += 1
-
-    def boundary_ingress(self, pkt) -> None:
-        # A token minted in another shard is now headed for a local
-        # source.  It is not counted in ``_minted`` (mint-accounting
-        # compares against *local* destination grant counters) but must
-        # enter the global ledger, or every cross-shard token would
-        # look like it appeared from nowhere.
-        if self._active and pkt.ptype == PacketType.TOKEN:
-            self._ingress_tokens += 1
 
     # ------------------------------------------------------------------
     # End-of-run ledger reconciliation
@@ -151,15 +141,14 @@ class TokenLedgerAuditor(Auditor):
                 discarded=discarded, held=held,
             )
         self._checked("global-ledger")
-        observed = self._minted + self._ingress_tokens
-        in_flight = observed - received - stale - self._token_drops
+        in_flight = self._minted - received - stale - self._token_drops
         if in_flight < 0:
             self._violate(
                 "global-ledger",
                 f"token leak: sources received {received} (+{stale} stale) tokens "
-                f"but only {observed} were minted ({self._token_drops} dropped) "
+                f"but only {self._minted} were minted ({self._token_drops} dropped) "
                 f"— {-in_flight} token(s) appeared from nowhere",
-                minted=observed, received=received, stale=stale,
+                minted=self._minted, received=received, stale=stale,
                 dropped=self._token_drops,
             )
         if self._fault_token_drops:

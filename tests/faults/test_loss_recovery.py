@@ -5,20 +5,23 @@ Each test runs one explicit flow through :func:`build_simulation` /
 :func:`run_flow_list` with a :class:`ScriptedDrop` aimed at a single
 packet class.  All scripted rules pin ``hop=1`` (the sending host's
 NIC) so one logical packet matches exactly once even though it transits
-up to four links.
+up to four links.  The last test instead downs a ToR-core link pair
+under a whole fig3-tiny workload with every auditor attached.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import build_simulation, run_flow_list
+from repro.experiments.defaults import make_spec
+from repro.experiments.runner import build_simulation, run_experiment, run_flow_list
 from repro.experiments.spec import ExperimentSpec
-from repro.faults import ArbiterBlackout, FaultPlan, HostPause, ScriptedDrop
+from repro.faults import ArbiterBlackout, FaultPlan, HostPause, LinkDown, ScriptedDrop
 from repro.net.packet import Flow
 from repro.net.topology import TopologyConfig
 from repro.protocols.phost.config import PHostConfig
 from repro.sim.units import MSS_BYTES
+from repro.validate import standard_auditors
 
 pytestmark = pytest.mark.faults
 
@@ -205,3 +208,33 @@ def test_host_pause_recovers_after_resume():
     # ...yet the RTS retry carried the flow across the outage.
     assert result.n_completed == 1
     assert result.records[0].finish > 200e-6
+
+
+# ----------------------------------------------------------------------
+# Inter-rack link outage: a ToR uplink and the core->ToR downlink
+# ----------------------------------------------------------------------
+
+#: One ToR uplink dark for 100us mid-run, plus the reverse-direction
+#: core downlink: spray exclusion steers traffic off the uplink, but
+#: nothing can steer around a dead core->ToR hop, so real drops land.
+CORE_OUTAGE = FaultPlan(
+    link_downs=(
+        LinkDown("tor1.up.c1", down_at=20e-6, up_at=120e-6),
+        LinkDown("core1.down.tor1", down_at=30e-6, up_at=200e-6),
+    ),
+    seed=11,
+)
+
+
+@pytest.mark.parametrize("protocol", ("phost", "pfabric"))
+def test_core_link_outage_recovers_with_clean_audits(protocol):
+    spec = make_spec(protocol, "websearch", "tiny", seed=42).variant(
+        faults=CORE_OUTAGE, instruments=standard_auditors()
+    )
+    result = run_experiment(spec)
+    # Packets in flight on the dead links are lost...
+    assert result.fault_drops > 0
+    # ...every loss is ledgered (conservation, tokens, causality)...
+    assert result.audit is not None and result.audit.ok, result.audit.summary()
+    # ...and recovery carries every flow across the outage.
+    assert result.n_completed == result.n_flows

@@ -7,6 +7,7 @@ Pins the persistence contracts the dashboard depends on:
   while the family hash is seed-blind;
 * the ledger is idempotent per ``(spec_hash, run_digest)`` key and
   refuses to overwrite mismatched content under one key;
+* a write killed halfway leaves no truncated file for readers to trip on;
 * results are stamped with self-describing run metadata.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -117,26 +119,24 @@ def test_spec_hash_blind_to_observation_label_and_tuning(tmp_path):
     assert spec_hash(bare) == spec_hash(observed)
     # ``tuning`` is digest-inert by contract, so it must not key the
     # ledger either.
-    for tuning in (SimTuning(), SimTuning(timer_wheel=False), SimTuning(shards=2)):
+    for tuning in (SimTuning(), SimTuning(timer_wheel=False), SimTuning(fused_ports=False)):
         assert spec_hash(bare) == spec_hash(bare.variant(tuning=tuning))
         assert family_hash(bare) == family_hash(bare.variant(tuning=tuning))
 
-    # A sharded re-run of a stored serial cell is an idempotent re-put;
-    # the entry keeps the tuning it was first run with in ``meta``.
+    # A re-run of a stored cell under other knobs is an idempotent
+    # re-put; the entry keeps the tuning it was first run with in ``meta``.
     ledger = RunLedger(tmp_path / "ledger")
-    serial = ledger.put(run_experiment(bare))
-    sharded = ledger.put(
-        run_experiment(
-            bare.variant(tuning=SimTuning(shards=2, shard_transport="inprocess"))
-        )
+    default = ledger.put(run_experiment(bare))
+    unfused = ledger.put(
+        run_experiment(bare.variant(tuning=SimTuning(fused_ports=False)))
     )
-    assert sharded.key == serial.key
+    assert unfused.key == default.key
     assert len(ledger.entries()) == 1
-    assert sharded.meta["tuning"] is None
+    assert unfused.meta["tuning"] is None
     explicit = RunLedger(tmp_path / "explicit").put(
         run_experiment(bare.variant(tuning=SimTuning(timer_wheel=False)))
     )
-    assert explicit.key == serial.key
+    assert explicit.key == default.key
     assert explicit.meta["tuning"]["timer_wheel"] is False
 
 
@@ -228,6 +228,55 @@ def test_ledger_bench_reports_append_in_order(tmp_path):
     assert ledger.latest_bench("medium")["date"] == "2026-08-08"
     assert ledger.latest_bench("small")["date"] == "2026-08-09"
     assert ledger.latest_bench("large") is None
+
+
+def _tear_writes(monkeypatch, name_prefix):
+    """Make every write to a file named ``name_prefix*`` stop halfway
+    and raise, the way a writer killed mid-``put`` would."""
+    real_write = Path.write_text
+
+    def torn_write(self, text, *args, **kwargs):
+        if self.name.startswith(name_prefix):
+            real_write(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("writer killed mid-write")
+        return real_write(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+
+
+def test_ledger_put_killed_mid_write_leaves_no_torn_entry(
+    tmp_path, monkeypatch, observed_result
+):
+    ledger = RunLedger(tmp_path / "ledger")
+    kept = ledger.put(observed_result)
+    result = run_experiment(_tiny_spec(seed=43))
+    entry_path = ledger.entry_dir(spec_hash(result.spec), run_digest(result)) / "entry.json"
+
+    _tear_writes(monkeypatch, "entry.json")
+    with pytest.raises(OSError, match="killed"):
+        ledger.put(result)
+    monkeypatch.undo()
+
+    # No half-written entry.json: readers still see exactly the old store.
+    assert not entry_path.exists()
+    assert [e.key for e in ledger.entries()] == [kept.key]
+    assert len(ledger.families()) == 1
+    # A retried put heals the cell instead of tripping over the debris.
+    retried = ledger.put(result)
+    assert json.loads(entry_path.read_text()) == retried.doc
+    assert {e.key for e in ledger.entries()} == {kept.key, retried.key}
+
+
+def test_ledger_bench_report_killed_mid_write_is_not_listed(tmp_path, monkeypatch):
+    ledger = RunLedger(tmp_path / "ledger")
+    ledger.put_bench({"scale": "small", "date": "2026-08-08", "instances": {}})
+    _tear_writes(monkeypatch, "000002.json")
+    with pytest.raises(OSError, match="killed"):
+        ledger.put_bench({"scale": "small", "date": "2026-08-09", "instances": {}})
+    monkeypatch.undo()
+    assert [r["date"] for r in ledger.bench_reports()] == ["2026-08-08"]
+    ledger.put_bench({"scale": "small", "date": "2026-08-10", "instances": {}})
+    assert [r["date"] for r in ledger.bench_reports()] == ["2026-08-08", "2026-08-10"]
 
 
 def test_result_metrics_are_strict_json(observed_result):
