@@ -197,6 +197,10 @@ class ProgramQueue:
         "_arrival_seq",
     )
 
+    #: Never bypassed by an idle port: classify, meter and the stage
+    #: ledgers must see every packet (see repro.net.port).
+    cut_through = False
+
     def __init__(self, program: DataplaneProgram, capacity_bytes: int) -> None:
         self.program = program
         self.capacity_bytes = capacity_bytes

@@ -168,12 +168,12 @@ def build_simulation(spec: ExperimentSpec) -> SimContext:
         ctx.add_hook(Telemetry(spec.observability))
     if any(getattr(h, "retains_packets", False) for h in ctx.hooks):
         # A hook that keeps packet references past delivery (or a
-        # drop) makes recycling unsound; pooling quietly turns off for
-        # this run.
+        # drop) makes recycling unsound; pooling turns off for this run
+        # (results record it in ``tuning_effective``).
         ctx.pool.enabled = False
     if ctx.pool.enabled:
-        # Every end of a packet's life gives its slot back: delivery at
-        # a host, and a queue or injected drop at the fabric.
+        # Every end of a packet's life gives the packet back: delivery
+        # at a host, and a queue or injected drop at the fabric.
         fabric.pool = ctx.pool
         for host in fabric.hosts:
             host.pool = ctx.pool
@@ -335,6 +335,7 @@ def run_flow_list(
         fault_drops=getattr(fabric, "fault_drops_total", 0),
         audit=AuditReport.from_hooks(ctx.hooks),
         telemetry=Telemetry.report_from_hooks(ctx.hooks),
+        tuning_effective=ctx.effective_tuning(),
     )
     if result.telemetry is not None:
         # Self-describing series: spec hash / seed / git rev / wall time
@@ -362,6 +363,8 @@ class IncastResult:
     audit: Optional[AuditReport] = None
     #: ObsReport when ``observability`` was set; None otherwise.
     telemetry: Optional[Any] = None
+    #: The SimTuning that actually ran (see ExperimentResult).
+    tuning_effective: Optional[SimTuning] = None
 
     @property
     def mean_rct(self) -> float:
@@ -403,7 +406,10 @@ def run_incast(
     env, fabric, collector = ctx.env, ctx.fabric, ctx.collector
     rng = SeededRng(seed).stream("incast")
     pattern = IncastPattern(fabric.config.n_hosts, n_senders, total_bytes)
-    result = IncastResult(n_senders=n_senders, total_bytes=total_bytes, n_requests=n_requests)
+    result = IncastResult(
+        n_senders=n_senders, total_bytes=total_bytes, n_requests=n_requests,
+        tuning_effective=ctx.effective_tuning(),
+    )
 
     state: Dict[str, Any] = {"request": 0, "outstanding": 0, "start": 0.0, "next_fid": 0}
 
@@ -441,7 +447,9 @@ def run_incast(
         from repro.obs.store import run_meta
 
         result.telemetry.meta = run_meta(
-            spec, events_processed=env.events_processed
+            spec,
+            events_processed=env.events_processed,
+            tuning_effective=result.tuning_effective,
         )
     return result
 

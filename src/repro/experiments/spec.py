@@ -198,6 +198,10 @@ class ExperimentResult:
     #: ObsReport when spec.observability was set (see repro.obs);
     #: None otherwise.  Plain data — survives pickling to workers.
     telemetry: Optional[Any] = None
+    #: The SimTuning that actually ran: ``spec.tuning`` (or the
+    #: default) after the runner's vetoes, e.g. ``packet_pool=False``
+    #: when a hook retains packets.  Recorded as ``meta.tuning_effective``.
+    tuning_effective: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Metric shortcuts (all over completed flows)

@@ -5,6 +5,10 @@ fields (``remaining`` for pFabric's priority, ``data_seq``/``data_prio``
 /``expiry`` for pHost tokens) are plain slots left at their defaults
 when unused.  This keeps the hot path monomorphic — no isinstance
 dispatch inside switch queues.
+
+A packet is a plain object with no identity beyond its fields: during a
+run, :class:`repro.net.pool.PacketPool` re-stamps delivered and dropped
+packets for their next life instead of constructing new ones.
 """
 
 from __future__ import annotations
@@ -134,9 +138,7 @@ class Packet:
             and echoed back on ACKs by ECN-aware receivers.
         hops: Number of switch ports traversed so far (drop accounting).
         born: Time the packet was created (queueing-delay metrics).
-        slot: Row index in the run's
-            :class:`~repro.net.columns.PacketColumns` store when this
-            packet is a pooled columnar view; -1 for plain packets.
+        payload: Free-form attachment (Fastpass schedules).
     """
 
     __slots__ = (
@@ -153,7 +155,6 @@ class Packet:
         "ecn",
         "hops",
         "born",
-        "slot",
         "payload",
     )
 
@@ -181,8 +182,7 @@ class Packet:
         self.ecn = 0
         self.hops = 0
         self.born = born
-        self.slot = -1  # columnar row index (see repro.net.columns)
-        self.payload = None  # free-form (Fastpass schedules)
+        self.payload = None
 
     @property
     def is_control(self) -> bool:

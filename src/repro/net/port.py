@@ -16,19 +16,31 @@ paths exist:
 Control packets pushed into the queue always win over pulled data
 because the queue is drained first.
 
-Hot-path notes (see docs/PERFORMANCE.md): each packet-hop costs two
-simulated events — serialization done at the transmitter, arrival at
-the receiver — but only *one* freshly allocated heap entry.  When the
-serialization event fires, its just-popped entry is re-stamped in place
-as the propagation/arrival event (``fused`` mode).  Sequence numbers
-are drawn in the order of the naive path, so the ``(time, seq)`` event
-order — and every run digest — is byte-identical with fusion on or off.
+Hot-path notes (see docs/PERFORMANCE.md):
+
+* *Fused transmission.*  Each packet-hop costs two simulated events —
+  serialization done at the transmitter, arrival at the receiver — but
+  only *one* freshly allocated heap entry.  When the serialization event
+  fires, its just-popped entry is re-stamped in place as the
+  propagation/arrival event (``fused`` mode).  Sequence numbers are
+  drawn in the order of the naive path, so the ``(time, seq)`` event
+  order — and every run digest — is byte-identical with fusion on or
+  off.
+* *Cut-through at idle ports.*  A packet sent to an idle port with an
+  empty queue, that fits the buffer, would be pushed and popped straight
+  back out.  When the queue class declares ``cut_through = True`` (the
+  hand-fused :class:`~repro.net.queues.PriorityQueue` and
+  :class:`~repro.net.queues.PFabricQueue` do; the generic
+  :class:`~repro.dataplane.ProgramQueue` never does, its stage ledgers
+  must see every packet) the port skips the queue and starts
+  serialization directly, with the same counters, high-water marks and
+  single sequence-number draw as the push-then-pop path.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.net.packet import Packet
 from repro.sim.engine import EventLoop
@@ -61,6 +73,7 @@ class Port:
         "max_qlen_bytes",
         "max_qlen_pkts",
         "fused",
+        "cut_through",
         "_tx_entry",
     )
 
@@ -98,6 +111,9 @@ class Port:
         # Fused transmission (heap-entry reuse); turn off to force the
         # classic two-schedules-per-hop path.
         self.fused = True
+        # Whether an idle, empty queue may be bypassed; only queue
+        # classes that declare it (see the module docstring).
+        self.cut_through = getattr(queue, "cut_through", False) is True
         self._tx_entry: Optional[list] = None  # pending serialization event
 
     def connect(self, peer) -> None:
@@ -111,6 +127,20 @@ class Port:
         """Enqueue a packet for transmission (may drop at the queue)."""
         self.pkts_enqueued += 1
         queue = self.queue
+        if (
+            not self.busy
+            and self.cut_through
+            and not queue.pkts_queued
+            and pkt.size <= queue.capacity_bytes
+        ):
+            # Cut-through: push-then-pop would hold exactly this packet
+            # for an instant, so the high-water marks see it the same.
+            if pkt.size > self.max_qlen_bytes:
+                self.max_qlen_bytes = pkt.size
+            if not self.max_qlen_pkts:
+                self.max_qlen_pkts = 1
+            self._start(pkt)
+            return
         dropped = queue.push(pkt)
         qbytes = queue.bytes_queued
         if qbytes > self.max_qlen_bytes:
@@ -143,13 +173,18 @@ class Port:
     # Transmit machinery
     # ------------------------------------------------------------------
     def _start_next(self) -> None:
-        pkt = self.queue.pop()
+        queue = self.queue
+        pkt = queue.pop() if queue.pkts_queued else None
         if pkt is None and self.pull_source is not None:
             pkt = self.pull_source()
             if pkt is not None:
                 self.pkts_pulled += 1
         if pkt is None:
             return
+        self._start(pkt)
+
+    def _start(self, pkt: Packet) -> None:
+        """Begin serializing ``pkt`` on an idle port."""
         self.busy = True
         if not self.fused:
             tx = pkt.size * 8.0 / self.rate_bps
@@ -203,7 +238,8 @@ class Port:
             env._live += 1
         # Next departure.  The queue-then-pull order mirrors the unfused
         # path; the port stays busy while the pull source decides.
-        nxt = self.queue.pop()
+        queue = self.queue
+        nxt = queue.pop() if queue.pkts_queued else None
         if nxt is None and self.pull_source is not None:
             nxt = self.pull_source()
             if nxt is not None:

@@ -17,6 +17,12 @@ pFabric buffers are tiny by design (36 kB ~ 24 full-size packets), so
 PFabricQueue stays a flat list; what it avoids is interpreting a loop
 over that list per packet — its scans are ``min``/``max``/``index``
 calls over a parallel list of keys, which run in C.
+
+Both classes declare ``cut_through = True``: pushing a packet that fits
+into an empty queue and popping it again has no effect beyond handing
+the packet back, so an idle :class:`~repro.net.port.Port` may skip the
+queue entirely (PFabricQueue's arrival stamps only order the packets
+buffered together, so skipping one stamp changes no decision).
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ class PriorityQueue:
         "_n_bands",
         "_lo",
     )
+
+    #: An idle port may bypass this queue when it is empty.
+    cut_through = True
 
     def __init__(self, capacity_bytes: int, n_bands: int = 8) -> None:
         if n_bands < 1:
@@ -174,6 +183,9 @@ class PFabricQueue:
         "_keys",
         "_flows",
     )
+
+    #: An idle port may bypass this queue when it is empty.
+    cut_through = True
 
     def __init__(self, capacity_bytes: int, n_bands: int = 8) -> None:
         # n_bands accepted (and ignored) so both queue types share a factory

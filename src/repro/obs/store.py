@@ -245,8 +245,13 @@ def run_meta(
     wall_seconds: Optional[float] = None,
     duration: Optional[float] = None,
     events_processed: Optional[int] = None,
+    tuning_effective: Any = None,
 ) -> Dict[str, Any]:
-    """Self-describing metadata block for one run of ``spec``."""
+    """Self-describing metadata block for one run of ``spec``.
+
+    ``tuning`` is the requested SimTuning (None for the default);
+    ``tuning_effective``, when given, is the one that actually ran.
+    """
     meta: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "spec_hash": spec_hash(spec),
@@ -268,6 +273,8 @@ def run_meta(
         meta["duration"] = duration
     if events_processed is not None:
         meta["events_processed"] = events_processed
+    if tuning_effective is not None:
+        meta["tuning_effective"] = dataclasses.asdict(tuning_effective)
     return meta
 
 
@@ -283,6 +290,7 @@ def stamp_result_meta(result: Any) -> Dict[str, Any]:
         wall_seconds=result.wall_seconds,
         duration=result.duration,
         events_processed=result.events_processed,
+        tuning_effective=result.tuning_effective,
     )
     if result.telemetry is not None:
         result.telemetry.meta = meta
@@ -464,6 +472,7 @@ class RunLedger:
                     wall_seconds=result.wall_seconds,
                     duration=result.duration,
                     events_processed=result.events_processed,
+                    tuning_effective=result.tuning_effective,
                 )
             ),
             "spec": payload,

@@ -22,6 +22,7 @@ call chains.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim <- net/metrics)
@@ -133,6 +134,11 @@ class SimContext:
         return [h for h in self.hooks if isinstance(h, cls)]
 
     # ------------------------------------------------------------------
+    def effective_tuning(self) -> Any:
+        """``tuning`` as the run executes it: ``packet_pool`` is the
+        pool's state after the runner's ``retains_packets`` veto."""
+        return replace(self.tuning, packet_pool=self.pool.enabled)
+
     @property
     def now(self) -> float:
         """Current simulation time (convenience passthrough)."""

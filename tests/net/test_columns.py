@@ -1,11 +1,13 @@
-"""Unit tests for the struct-of-arrays packet store (repro.net.columns)."""
+"""Acquire/release recycling order of the packet store.
+
+Packets used to live as rows of a columnar slot store; they are now
+plain objects on the pool's freelist.  The recycling contract that
+store carried is unchanged and is checked here in object terms.
+"""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.net.columns import COLUMN_TYPECODES, PacketColumns
-from repro.net.packet import Flow, PacketType
+from repro.net.packet import Flow
 from repro.net.pool import PacketPool
 
 
@@ -14,121 +16,11 @@ def make_flow(fid=7, n_pkts=4):
 
 
 def test_acquire_release_recycles_slots_lifo():
-    cols = PacketColumns(capacity=4)
-    a = cols.acquire()
-    b = cols.acquire()
-    assert (a, b) == (0, 1)
-    cols.release(a)
-    assert cols.acquire() == a  # LIFO reuse
-    assert cols.stats()["in_use"] == 2
-
-
-def test_capacity_grows_geometrically():
-    cols = PacketColumns(capacity=2)
-    slots = [cols.acquire() for _ in range(5)]
-    assert slots == [0, 1, 2, 3, 4]
-    assert cols.capacity == 8  # 2 -> 4 -> 8
-    assert cols.grows == 2
-    # every column and the ref lists grew in lockstep
-    for name, _ in COLUMN_TYPECODES:
-        assert len(getattr(cols, name)) == cols.capacity
-    assert len(cols.flows) == len(cols.views) == cols.capacity
-
-
-def test_stamp_writes_identity_columns_and_view():
-    cols = PacketColumns()
-    flow = make_flow(fid=11)
-    slot = cols.acquire()
-    pkt = cols.stamp(slot, PacketType.DATA, flow, 3, 0, 1, 1500, 2, 4.5)
-    assert pkt.slot == slot
-    assert (pkt.ptype, pkt.flow, pkt.seq) == (PacketType.DATA, flow, 3)
-    assert (pkt.src, pkt.dst, pkt.size, pkt.priority, pkt.born) == (0, 1, 1500, 2, 4.5)
-    row = cols.row(slot)
-    assert row["fid"] == 11 and row["seq"] == 3 and row["size"] == 1500
-    assert row["priority"] == 2 and row["born"] == 4.5 and row["flow"] is flow
-
-
-def test_view_is_cached_across_lives():
-    cols = PacketColumns()
-    flow = make_flow()
-    slot = cols.acquire()
-    first = cols.stamp(slot, PacketType.DATA, flow, 0, 0, 1, 1500, 1, 0.0)
-    cols.reset(slot)
-    cols.release(slot)
-    again = cols.stamp(cols.acquire(), PacketType.TOKEN, flow, 9, 1, 0, 40, 0, 2.0)
-    assert again is first  # same materialized view, new life
-    assert again.ptype is PacketType.TOKEN and again.seq == 9
-
-
-def test_reset_clears_view_and_columns():
-    cols = PacketColumns()
-    flow = make_flow()
-    slot = cols.acquire()
-    pkt = cols.stamp(slot, PacketType.DATA, flow, 0, 0, 1, 1500, 1, 0.0)
-    pkt.remaining = 5
-    pkt.ecn = 1
-    pkt.hops = 3
-    pkt.payload = object()
-    cols.writeback(slot)
-    assert cols.row(slot)["remaining"] == 5 and cols.row(slot)["hops"] == 3
-    cols.reset(slot)
-    assert pkt.flow is None and pkt.payload is None
-    assert pkt.remaining == 0 and pkt.ecn == 0 and pkt.hops == 0
-    row = cols.row(slot)
-    assert row["fid"] == -1 and row["remaining"] == 0 and row["ecn"] == 0
-
-
-def test_writeback_syncs_dynamic_columns_only_on_demand():
-    cols = PacketColumns()
-    slot = cols.acquire()
-    pkt = cols.stamp(slot, PacketType.DATA, make_flow(), 0, 0, 1, 1500, 1, 0.0)
-    pkt.remaining = 7  # in-flight mutation: view-authoritative
-    assert cols.row(slot)["remaining"] == 0  # column is stale by contract
-    cols.writeback(slot)
-    assert cols.row(slot)["remaining"] == 7
-
-
-def test_lazy_view_materializes_from_columns():
-    cols = PacketColumns()
-    flow = make_flow(fid=3)
-    slot = cols.acquire()
-    cols.stamp(slot, PacketType.ACK, flow, 2, 1, 0, 40, 0, 1.25)
-    cols.views[slot] = None  # simulate a never-materialized row
-    pkt = cols.view(slot)
-    assert pkt.slot == slot
-    assert pkt.ptype is PacketType.ACK and pkt.flow is flow
-    assert (pkt.seq, pkt.src, pkt.dst, pkt.size, pkt.born) == (2, 1, 0, 40, 1.25)
-
-
-def test_buffer_and_numpy_export_are_zero_copy():
-    np = pytest.importorskip("numpy")
-    cols = PacketColumns(capacity=4)
-    slot = cols.acquire()
-    cols.stamp(slot, PacketType.DATA, make_flow(), 0, 0, 1, 1500, 1, 0.0)
-    arrays = cols.as_arrays()
-    assert arrays["size"].dtype == np.int64
-    assert int(arrays["size"][slot]) == 1500
-    mv = cols.buffer("size")
-    mv[slot] = 999  # writable buffer seam
-    assert int(cols.as_arrays()["size"][slot]) == 999
-
-
-def test_pool_freelist_holds_integers_not_objects():
     pool = PacketPool(enabled=True)
     flow = make_flow()
-    pkts = [pool.data(flow, i, flow.src, flow.dst, 1500, 1, 0.0) for i in range(3)]
-    assert [p.slot for p in pkts] == [0, 1, 2]
-    for p in pkts:
-        pool.release(p)
-    assert pool._free == [0, 1, 2]  # ints, LIFO stack
-    assert all(isinstance(s, int) for s in pool._free)
-    again = pool.data(flow, 9, flow.src, flow.dst, 1500, 1, 0.0)
-    assert again is pkts[2] and again.slot == 2
-
-
-def test_disabled_pool_hands_out_plain_packets_without_slots():
-    pool = PacketPool(enabled=False)
-    flow = make_flow()
-    pkt = pool.data(flow, 0, flow.src, flow.dst, 1500, 1, 0.0)
-    assert pkt.slot == -1
-    assert pool.columns.stats()["in_use"] == 0
+    a = pool.data(flow, 0, flow.src, flow.dst, 1500, 1, 0.0)
+    b = pool.data(flow, 1, flow.src, flow.dst, 1500, 1, 0.0)
+    assert a is not b
+    pool.release(a)
+    assert pool.data(flow, 2, flow.src, flow.dst, 1500, 1, 0.0) is a  # LIFO reuse
+    assert pool.allocated == 2 and pool.stats()["free"] == 0  # two in use

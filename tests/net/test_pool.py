@@ -60,16 +60,6 @@ def test_control_packets_recycle_too():
     assert (tok.seq, tok.src, tok.dst, tok.born) == (3, flow.dst, flow.src, 1.0)
 
 
-def test_freelist_is_bounded():
-    pool = PacketPool(enabled=True, max_free=2)
-    flow = make_flow()
-    pkts = [pool.data(flow, i, flow.src, flow.dst, 1500, 1, 0.0) for i in range(5)]
-    for p in pkts:
-        pool.release(p)
-    assert pool.stats()["free"] == 2  # cap respected
-    assert pool.released == 2
-
-
 def test_runner_disables_pooling_for_packet_retaining_hooks():
     from repro.experiments.defaults import make_spec
     from repro.experiments.runner import build_simulation
@@ -89,17 +79,35 @@ def test_runner_disables_pooling_for_packet_retaining_hooks():
 
 
 def test_over_cap_release_goes_back_to_the_store():
-    pool = PacketPool(enabled=True, max_free=2)
+    # There is no cap: every released packet is parked, none is retired,
+    # and they come back last-released-first.
+    pool = PacketPool(enabled=True)
     flow = make_flow()
     pkts = [pool.data(flow, i, flow.src, flow.dst, 1500, 1, 0.0) for i in range(5)]
     for p in pkts:
         pool.release(p)
-    cols = pool.columns
-    # two slots parked in the pool; three handed back, none retired
-    assert cols.in_use == 2 and cols.stats()["free"] == 3
-    again = [pool.data(flow, i, flow.src, flow.dst, 1500, 1, 0.0) for i in range(5)]
-    assert {p.slot for p in again} == {p.slot for p in pkts}  # no fresh slot
-    assert cols.in_use == 5 and cols.stats()["free"] == 0
+    assert pool.released == 5 and pool.stats()["free"] == 5
+    again = [pool.control(PacketType.ACK, flow, i, flow.dst, flow.src, 1.0) for i in range(5)]
+    assert again == pkts[::-1]  # last released, first reacquired
+    assert pool.allocated == 5 and pool.stats()["free"] == 0
+
+
+def test_freelist_is_bounded():
+    # Waves of packets alive at once: objects are created only to cover
+    # a new peak, never per acquire, so the freelist never holds more
+    # than the peak number of packets held at once.
+    pool = PacketPool(enabled=True)
+    flow = make_flow()
+    held, peak = [], 0
+    for wave in (3, 7, 2, 7, 5):
+        while len(held) < wave:
+            held.append(pool.data(flow, 0, flow.src, flow.dst, 1500, 1, 0.0))
+        peak = max(peak, len(held))
+        while held:
+            pool.release(held.pop())
+        assert pool.allocated == peak
+        assert pool.stats()["free"] == peak
+    assert pool.allocated == 7 and pool.reused == 24 - 7
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +165,8 @@ def test_fault_drop_releases_the_slot():
 
 
 def test_incast_store_tracks_packets_in_flight_not_drops():
-    """pFabric drops on purpose under incast; the store must not keep a
-    slot per drop."""
+    """pFabric drops on purpose under incast; the pool must not create a
+    packet per drop."""
     from repro.experiments.defaults import SCALES
     from repro.experiments.runner import run_incast
 
@@ -178,6 +186,5 @@ def test_incast_store_tracks_packets_in_flight_not_drops():
     pool, drops = ctx.pool, ctx.fabric.drops_total
     assert drops > 1000
     # Every sender keeps at most a window of data in the network, plus
-    # the ACKs coming back: a few hundred slots, however many drops.
+    # the ACKs coming back: a few hundred packets, however many drops.
     assert pool.allocated <= 4 * n_senders * ctx.config.init_cwnd < drops
-    assert pool.columns.in_use == pool.allocated

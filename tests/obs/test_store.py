@@ -140,6 +140,29 @@ def test_spec_hash_blind_to_observation_label_and_tuning(tmp_path):
     assert explicit.meta["tuning"]["timer_wheel"] is False
 
 
+def test_entry_records_the_tuning_that_ran(tmp_path):
+    """A packet-retaining hook vetoes pooling.  The requested tuning
+    (None: the default) cannot show that; ``tuning_effective`` does,
+    without moving the ledger key."""
+
+    class PacketKeeper:
+        retains_packets = True
+
+        def bind(self, ctx):
+            return self
+
+    bare = _tiny_spec()
+    kept = bare.variant(instruments=(PacketKeeper(),))
+    bare_entry = RunLedger(tmp_path / "bare").put(run_experiment(bare))
+    kept_entry = RunLedger(tmp_path / "kept").put(run_experiment(kept))
+    assert bare_entry.meta["tuning"] is None and kept_entry.meta["tuning"] is None
+    assert bare_entry.meta["tuning_effective"]["packet_pool"] is True
+    assert kept_entry.meta["tuning_effective"]["packet_pool"] is False
+    assert kept_entry.meta["tuning_effective"]["fused_ports"] is True
+    assert kept_entry.spec_hash == bare_entry.spec_hash
+    assert kept_entry.key == bare_entry.key
+
+
 def test_family_hash_is_seed_blind():
     assert family_hash(_tiny_spec()) == family_hash(_tiny_spec(seed=43))
     assert family_hash(_tiny_spec()) != family_hash(_tiny_spec(load=0.7))
@@ -157,6 +180,7 @@ def test_runner_stamps_obsreport_meta(observed_result):
     assert meta["protocol"] == "phost"
     assert meta["events_processed"] == observed_result.events_processed
     assert meta["wall_seconds"] == observed_result.wall_seconds
+    assert meta["tuning_effective"]["packet_pool"] is True
     assert "git_revision" in meta
 
 
