@@ -2,7 +2,7 @@
 """Render the HTML dashboard and regression diffs from a run ledger.
 
 Everything here re-reads the content-addressed ledger written by
-``phost-repro --ledger`` / ``scripts/bench.py`` — no re-simulation.
+``phost-repro --ledger`` — no re-simulation.
 
 Usage::
 

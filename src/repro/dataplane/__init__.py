@@ -50,18 +50,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DataplaneBinding:
-    """Which programs one run's fabric is executing, and in which form.
+    """Which programs one run's fabric is executing.
 
-    ``fused`` records whether the reference programs were compiled to
-    their specialized queue classes (the default) or run on the generic
-    :class:`ProgramQueue` engine; obs and the auditors discover engine
-    ports by looking for a ``state`` ledger on each port's queue, so
-    they work for any mix.
+    Which form each port runs — a hand-fused queue class or the generic
+    :class:`ProgramQueue` engine — is read off the port's queue
+    (``SimContext.effective_tuning()``, and the ``state`` ledger obs and
+    the auditors look for), so any mix works.
     """
 
     switch: DataplaneProgram
     host: DataplaneProgram
-    fused: bool = True
 
     @property
     def names(self) -> str:

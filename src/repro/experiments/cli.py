@@ -20,11 +20,13 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.dataplane import available_dataplanes, get_dataplane
 from repro.experiments.defaults import SCALES, make_spec
 from repro.experiments.figures import ALL_FIGURES, run_figure
 from repro.experiments.report import FigureResult, render
-from repro.experiments.runner import run_experiment, run_flow_list
+from repro.experiments.runner import _resolve_workload, run_experiment, run_flow_list
 from repro.experiments.spec import ExperimentResult, ExperimentSpec
+from repro.protocols.registry import available_protocols, get_protocol
 
 __all__ = ["main", "build_parser"]
 
@@ -312,6 +314,23 @@ def _workload_variant(args: argparse.Namespace) -> dict:
     return changes
 
 
+def _check_names(spec: ExperimentSpec) -> ExperimentSpec:
+    """Resolve the spec's protocol, workload and dataplane names before
+    the run starts, so a typo raises ValueError here (a usage error)
+    rather than from inside the simulation."""
+    get_protocol(spec.protocol)
+    if spec.dataplane is not None:
+        get_dataplane(spec.dataplane)
+    if spec.trace is None:
+        _resolve_workload(spec)
+    return spec
+
+
+def _usage_error(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _wants_obs(args: argparse.Namespace) -> bool:
     return (
         args.obs
@@ -402,6 +421,7 @@ def _result_dict(result: ExperimentResult) -> dict:
         "control_bytes": result.control_bytes_sent,
         "duration_s": result.duration,
         "wall_seconds": result.wall_seconds,
+        "events_processed": result.events_processed,
     }
     if result.fault_drops:
         payload["fault_drops"] = result.fault_drops
@@ -468,8 +488,6 @@ def _figure_dict(result: FigureResult) -> dict:
 
 def _list_protocols(args: argparse.Namespace) -> int:
     """Registry-sourced protocol listing (never a hardcoded choice list)."""
-    from repro.protocols.registry import available_protocols, get_protocol
-
     rows = []
     for name in available_protocols():
         spec = get_protocol(name)
@@ -497,8 +515,6 @@ def _list_protocols(args: argparse.Namespace) -> int:
 
 def _list_dataplanes(args: argparse.Namespace) -> int:
     """Registry-sourced dataplane-program listing."""
-    from repro.dataplane import available_dataplanes, get_dataplane
-
     rows = []
     for name in available_dataplanes():
         program = get_dataplane(name)
@@ -523,19 +539,16 @@ def _run_single(args: argparse.Namespace) -> int:
     overrides = dict(load=args.load, seed=args.seed)
     if args.flows is not None:
         overrides["n_flows"] = args.flows
-    spec = make_spec(protocol, workload, args.scale, **overrides)
     try:
-        workload_changes = _workload_variant(args)
+        spec = _check_names(make_spec(protocol, workload, args.scale, **overrides).variant(
+            dataplane=args.dataplane,
+            instruments=_audit_instruments(args),
+            observability=_obs_config(args),
+            faults=_fault_plan(args),
+            **_workload_variant(args),
+        ))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    spec = spec.variant(
-        dataplane=args.dataplane,
-        instruments=_audit_instruments(args),
-        observability=_obs_config(args),
-        faults=_fault_plan(args),
-        **workload_changes,
-    )
+        return _usage_error(exc)
     result = run_experiment(spec)
     _emit_result(result, args.json)
     _handle_telemetry(result, args)
@@ -561,10 +574,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
                 value = raw
         spec = make_spec(protocol, workload, args.scale, seed=args.seed)
         try:
-            spec = spec.variant(**{field_name: value})
+            spec = _check_names(spec.variant(**{field_name: value}))
         except TypeError:
-            print(f"error: ExperimentSpec has no field {field_name!r}", file=sys.stderr)
-            return 2
+            return _usage_error(f"ExperimentSpec has no field {field_name!r}")
+        except ValueError as exc:
+            return _usage_error(exc)
         result = run_experiment(spec)
         table.add_row(
             **{
@@ -585,17 +599,20 @@ def _run_replay(args: argparse.Namespace) -> int:
     from repro.workloads.trace_io import load_flows
 
     preset = SCALES[args.scale]
-    spec = ExperimentSpec(
-        protocol=args.protocol,
-        workload="fixed:1",  # ignored by run_flow_list
-        n_flows=1,
-        topology=preset.topology,
-        dataplane=args.dataplane,
-        instruments=_audit_instruments(args),
-        observability=_obs_config(args),
-        faults=_fault_plan(args),
-        seed=args.seed,
-    )
+    try:
+        spec = _check_names(ExperimentSpec(
+            protocol=args.protocol,
+            workload="fixed:1",  # ignored by run_flow_list
+            n_flows=1,
+            topology=preset.topology,
+            dataplane=args.dataplane,
+            instruments=_audit_instruments(args),
+            observability=_obs_config(args),
+            faults=_fault_plan(args),
+            seed=args.seed,
+        ))
+    except ValueError as exc:
+        return _usage_error(exc)
     flows = load_flows(args.replay, n_hosts=preset.topology.n_hosts)
     result = run_flow_list(spec, flows)
     _emit_result(result, args.json)
@@ -611,8 +628,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     try:
         named = load_spec_file(args.batch)
     except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     results = run_experiments_parallel(
         [spec for _, spec in named], args.parallel, progress=args.progress or None
     )
@@ -652,7 +668,10 @@ def _run_size_profile(args: argparse.Namespace) -> int:
     overrides = dict(load=args.load, seed=args.seed)
     if args.flows is not None:
         overrides["n_flows"] = args.flows
-    spec = make_spec(protocol, workload, args.scale, **overrides)
+    try:
+        spec = _check_names(make_spec(protocol, workload, args.scale, **overrides))
+    except ValueError as exc:
+        return _usage_error(exc)
     result = run_experiment(spec)
     rows = slowdown_by_size(result.records)
     table = FigureResult(

@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.drops import DropStats
-from repro.metrics.records import FlowRecord, records_from_flows
+from repro.metrics.records import records_from_flows
 from repro.metrics.stability import StabilityTracker
 from repro.metrics.throughput import per_host_goodput_gbps
 from repro.net.packet import Flow
@@ -96,7 +96,7 @@ def _resolve_dataplane(spec: ExperimentSpec, proto, tuning: SimTuning):
     fused = tuning.fused_dataplane
     if spec.dataplane is not None:
         program = get_dataplane(spec.dataplane)
-        binding = DataplaneBinding(switch=program, host=program, fused=fused)
+        binding = DataplaneBinding(switch=program, host=program)
         factory = lambda cap: program.make_queue(cap, fused=fused)  # noqa: E731
         return binding, factory, factory
 
@@ -110,7 +110,7 @@ def _resolve_dataplane(spec: ExperimentSpec, proto, tuning: SimTuning):
     host_prog, host_qf = side(proto.host_queue_factory, proto.host_dataplane)
     binding = None
     if switch_prog is not None and host_prog is not None:
-        binding = DataplaneBinding(switch=switch_prog, host=host_prog, fused=fused)
+        binding = DataplaneBinding(switch=switch_prog, host=host_prog)
     return binding, switch_qf, host_qf
 
 

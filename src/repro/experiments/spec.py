@@ -82,8 +82,8 @@ class ExperimentSpec:
         tuning: Hot-path optimization switches
             (:class:`~repro.sim.tuning.SimTuning`); None means all
             optimizations on.  Results are byte-identical for any
-            setting — the knobs exist for the determinism suite and for
-            benchmarking against ``SimTuning.baseline()``.
+            setting — the knobs exist for the determinism suite and to
+            switch a fast path off in isolation.
         faults: Optional :class:`repro.faults.FaultPlan`.  A non-empty
             plan makes the runner attach a
             :class:`repro.faults.FaultInjector` hook; ``None`` or an
@@ -200,7 +200,8 @@ class ExperimentResult:
     telemetry: Optional[Any] = None
     #: The SimTuning that actually ran: ``spec.tuning`` (or the
     #: default) after the runner's vetoes, e.g. ``packet_pool=False``
-    #: when a hook retains packets.  Recorded as ``meta.tuning_effective``.
+    #: when a hook retains packets, ``fused_dataplane=False`` when no
+    #: port runs a hand-fused queue.  Recorded as ``meta.tuning_effective``.
     tuning_effective: Optional[Any] = None
 
     # ------------------------------------------------------------------

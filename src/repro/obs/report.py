@@ -7,18 +7,17 @@ alone, with no re-simulation.
 Two halves:
 
 * :func:`diff_entries` — per-metric deltas between two ledger entries
-  under explicit :class:`Threshold`\\ s.  The default set mirrors the
-  ``scripts/bench.py --check`` gate: wall clock may drift up to 25%
-  (and is *advisory* — machines differ), but exact pins
+  under explicit :class:`Threshold`\\ s.  By default wall clock may
+  drift up to 25% (and is *advisory* — machines differ), but exact pins
   (``events_processed``) must be byte-identical whenever the two
   entries share a spec hash.  Seed-to-seed comparisons (same family,
   different spec hash) only enforce the statistical thresholds.
 * :func:`render_dashboard` — a single self-contained HTML file with
   inline SVG: slowdown curves per workload, per-port queue-depth
   heatmaps from stored ColumnarSeries, figure acceptance tables
-  (figR/figT...), the bench events/s trajectory, and the per-family
-  regression diffs.  :func:`validate_dashboard` is the CI check: every
-  referenced artifact exists, every panel and table is non-empty.
+  (figR/figT...), and the per-family regression diffs.
+  :func:`validate_dashboard` is the CI check: every referenced artifact
+  exists, every panel and table is non-empty.
 
 Colors follow the repository's fixed categorical assignment (protocol →
 slot, never re-painted when a filter changes the series count) using a
@@ -29,7 +28,6 @@ sequential ramp.  Both light and dark surfaces are styled.
 from __future__ import annotations
 
 import html
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,7 +71,7 @@ class Threshold:
     advisory: bool = False
 
 
-#: Mirrors scripts/bench.py --check: 25% wall tolerance (advisory here),
+#: 25% wall tolerance (advisory: wall clock is machine-dependent), an
 #: exact events_processed pin for same-spec comparisons, and bounded
 #: drift on the headline statistics for cross-seed comparisons.
 DEFAULT_THRESHOLDS: Tuple[Threshold, ...] = (
@@ -548,7 +546,7 @@ def _runs_table(entries: List[LedgerEntry]) -> str:
     )
 
 
-def _slowdown_section(entries: List[LedgerEntry]) -> Tuple[str, int]:
+def _slowdown_section(entries: List[LedgerEntry]) -> str:
     by_workload: Dict[str, Dict[str, List[Tuple[float, float]]]] = {}
     for e in entries:
         wl = e.meta.get("workload", "?")
@@ -559,7 +557,7 @@ def _slowdown_section(entries: List[LedgerEntry]) -> Tuple[str, int]:
             continue
         by_workload.setdefault(wl, {}).setdefault(proto, []).append((float(load), slow))
     assigned: Dict[str, int] = {}
-    chunks, total = [], 0
+    chunks = []
     for wl in sorted(by_workload):
         series = [
             (proto, _slot_for(proto, assigned), sorted(pts))
@@ -568,11 +566,10 @@ def _slowdown_section(entries: List[LedgerEntry]) -> Tuple[str, int]:
         svg, n = _line_panel(f"slowdown-{wl}", series, "load", "mean slowdown")
         if n:
             chunks.append(f"<h3>{_esc(wl)}</h3>{svg}")
-            total += n
-    return "".join(chunks), total
+    return "".join(chunks)
 
 
-def _heatmap_section(ledger: RunLedger, entries: List[LedgerEntry], max_heatmaps: int) -> Tuple[str, List[str]]:
+def _heatmap_section(entries: List[LedgerEntry], max_heatmaps: int) -> Tuple[str, List[str]]:
     chunks: List[str] = []
     notes: List[str] = []
     with_series = [e for e in entries if e.has_series]
@@ -614,29 +611,6 @@ def _figures_section(ledger: RunLedger, figures_dir: Optional[str]) -> str:
         for path in sorted(Path(figures_dir).glob("fig*.txt")):
             chunks.append(f"<h3>{_esc(path.name)}</h3><pre>{_esc(path.read_text())}</pre>")
     return "".join(chunks)
-
-
-def _bench_section(ledger: RunLedger) -> Tuple[str, int]:
-    reports = ledger.bench_reports()
-    if len(reports) < 1:
-        return "", 0
-    per_proto: Dict[str, List[Tuple[float, float]]] = {}
-    for i, rep in enumerate(reports):
-        for name, row in rep.get("instances", {}).items():
-            if not name.startswith("fig3-") or "events_per_sec" not in row:
-                continue
-            per_proto.setdefault(name[len("fig3-"):], []).append(
-                (float(i + 1), float(row["events_per_sec"]))
-            )
-    if not per_proto:
-        return "", 0
-    assigned: Dict[str, int] = {}
-    series = [
-        (proto, _slot_for(proto, assigned), pts)
-        for proto, pts in sorted(per_proto.items())
-    ]
-    svg, n = _line_panel("bench-trajectory", series, "bench run #", "events/s (fig3)")
-    return svg, n
 
 
 def _diff_section(ledger: RunLedger) -> str:
@@ -709,10 +683,9 @@ def render_dashboard(
     """Render the whole ledger into one static HTML file."""
     out_path = Path(out_path)
     entries = ledger.entries()
-    slowdown_html, _ = _slowdown_section(entries)
-    heatmap_html, heatmap_notes = _heatmap_section(ledger, entries, max_heatmaps)
+    slowdown_html = _slowdown_section(entries)
+    heatmap_html, heatmap_notes = _heatmap_section(entries, max_heatmaps)
     figures_html = _figures_section(ledger, figures_dir)
-    bench_html, _ = _bench_section(ledger)
     diff_html = _diff_section(ledger)
 
     git = next(
@@ -750,8 +723,6 @@ def render_dashboard(
         sections.append(heatmap_html)
     if figures_html:
         sections += ["<h2>Figure acceptance tables</h2>", figures_html]
-    if bench_html:
-        sections += ["<h2>Bench trajectory</h2>", bench_html]
     if diff_html:
         sections += ["<h2>Cross-run regression diffs</h2>", diff_html]
     sections += ["<h2>Artifacts</h2>", _artifact_section(entries)]

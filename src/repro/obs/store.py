@@ -15,7 +15,6 @@ One :class:`RunLedger` owns a directory tree::
     <root>/runs/<spec_hash:16>/<run_digest:16>/entry.json   # metadata + metrics
                                               series.json  # ColumnarSeries (optional)
                                               audit.json   # AuditReport (optional)
-    <root>/bench/<seq>.json                                 # scripts/bench.py reports
     <root>/figures/<name>.json                              # FigureResult tables
 
 ``entry.json`` is strict sorted-keys JSON (NaN encoded as ``null``), so
@@ -412,10 +411,6 @@ class RunLedger:
         return self.root / "runs"
 
     @property
-    def bench_dir(self) -> Path:
-        return self.root / "bench"
-
-    @property
     def figures_dir(self) -> Path:
         return self.root / "figures"
 
@@ -548,33 +543,6 @@ class RunLedger:
         for entry in self.entries():
             out.setdefault(entry.family_hash, []).append(entry)
         return out
-
-    # -- bench reports -------------------------------------------------
-    def put_bench(self, report: Dict[str, Any]) -> Path:
-        """Append one ``scripts/bench.py`` report; returns its path."""
-        self.bench_dir.mkdir(parents=True, exist_ok=True)
-        existing = sorted(self.bench_dir.glob("*.json"))
-        seq = 1
-        if existing:
-            seq = int(existing[-1].stem) + 1
-        path = self.bench_dir / f"{seq:06d}.json"
-        _write_atomic(path, json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
-        return path
-
-    def bench_reports(self) -> List[Dict[str, Any]]:
-        """All stored bench reports, oldest first."""
-        if not self.bench_dir.is_dir():
-            return []
-        return [
-            json.loads(p.read_text()) for p in sorted(self.bench_dir.glob("*.json"))
-        ]
-
-    def latest_bench(self, scale: Optional[str] = None) -> Optional[Dict[str, Any]]:
-        """Most recent bench report (optionally restricted to a scale)."""
-        for report in reversed(self.bench_reports()):
-            if scale is None or report.get("scale") == scale:
-                return report
-        return None
 
     # -- figure tables -------------------------------------------------
     def put_figure(self, figure: Any) -> Path:

@@ -105,10 +105,8 @@ class SimContext:
         #: consult this to arm fault-only recovery timers without
         #: perturbing fault-free event streams.
         self.faults: Any = None
-        #: The run's :class:`repro.dataplane.DataplaneBinding` (which
-        #: switch/NIC programs the fabric executes, and whether they
-        #: were compiled to the fused queue classes).  Set by
-        #: ``build_simulation``; None for hand-wired fabrics.
+        #: The run's :class:`repro.dataplane.DataplaneBinding` (its switch
+        #: and NIC programs); None for hand-wired fabrics.
         self.dataplane: Any = None
 
     # ------------------------------------------------------------------
@@ -136,8 +134,15 @@ class SimContext:
     # ------------------------------------------------------------------
     def effective_tuning(self) -> Any:
         """``tuning`` as the run executes it: ``packet_pool`` is the
-        pool's state after the runner's ``retains_packets`` veto."""
-        return replace(self.tuning, packet_pool=self.pool.enabled)
+        pool's state after the runner's ``retains_packets`` veto, and
+        ``fused_dataplane`` holds only if some port actually runs a
+        hand-fused queue class (a program without a fused form, such as
+        DCTCP's, runs on the generic engine whatever the knob says)."""
+        from repro.net.queues import PFabricQueue, PriorityQueue
+
+        hand_fused = (PriorityQueue, PFabricQueue)
+        fused = any(isinstance(p.queue, hand_fused) for p in self.fabric.all_ports())
+        return replace(self.tuning, packet_pool=self.pool.enabled, fused_dataplane=fused)
 
     @property
     def now(self) -> float:

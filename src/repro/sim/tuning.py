@@ -7,11 +7,10 @@ behaviour-preserving by construction: a run's digest
 (:func:`repro.validate.digest.run_digest`) is byte-identical with any
 combination of these four knobs.  Every run executes in one process on
 one event loop whatever the knobs say.  They exist as knobs anyway, for
-three reasons:
+two reasons:
 
 * the determinism suite proves the byte-identity claim by running the
   same spec with everything on and everything off;
-* benchmarking needs an honest baseline (``SimTuning.baseline()``);
 * if an optimization is ever suspected in a bug hunt, it can be switched
   off in isolation without touching code.
 
@@ -50,8 +49,3 @@ class SimTuning:
     fused_ports: bool = True
     packet_pool: bool = True
     fused_dataplane: bool = True
-
-    @classmethod
-    def baseline(cls) -> "SimTuning":
-        """Everything off — the pre-optimization execution path."""
-        return cls(timer_wheel=False, fused_ports=False, packet_pool=False)

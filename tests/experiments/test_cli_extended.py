@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,39 @@ def test_run_json_output(capsys):
     assert payload["n_completed"] == payload["n_flows"] == 40
     assert payload["mean_slowdown"] >= 1.0
     assert set(payload["drops"]) == {1, 2, 3, 4} or set(payload["drops"]) == {"1", "2", "3", "4"}
+
+
+def test_run_json_reports_the_events_pin_and_golden_digest(capsys):
+    # The same bare spec as the golden-trace pin (tests/validate).
+    assert main(["--run", "phost", "websearch", "--scale", "tiny", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    goldens = json.loads((Path(__file__).parents[1] / "validate/golden_digests.json").read_text())
+    assert payload["events_processed"] == 73876
+    assert payload["run_digest"] == goldens["fig3-tiny-phost-websearch-seed42"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--run nosuch websearch", "unknown protocol 'nosuch'"),
+    ("--run phost nosuchwl", "unknown workload 'nosuchwl'"),
+    ("--run phost websearch --dataplane nosuch", "unknown dataplane 'nosuch'"),
+    ("--run phost websearch --faults bogus=1", "unknown --faults key 'bogus'"),
+    ("--replay flows.csv --protocol nosuch", "unknown protocol 'nosuch'"),
+    ("--sweep load phost nosuchwl --values 0.5", "unknown workload 'nosuchwl'"),
+    ("--size-profile nosuch imc10", "unknown protocol 'nosuch'"),
+])
+def test_bad_names_are_usage_errors(argv, message, capsys):
+    assert main(argv.split() + ["--scale", "tiny"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_value_error_inside_a_run_still_propagates(monkeypatch):
+    def broken(spec):
+        raise ValueError("raised mid-simulation")
+
+    monkeypatch.setattr("repro.experiments.cli.run_experiment", broken)
+    with pytest.raises(ValueError, match="mid-simulation"):
+        main(["--run", "phost", "imc10", "--scale", "tiny", "--flows", "5"])
 
 
 def test_sweep_over_load(capsys):
@@ -72,21 +106,16 @@ def test_figure_json(capsys):
 
 
 def test_profile_mode(capsys):
-    from repro.experiments.cli import main as cli_main
-
-    assert cli_main(["--size-profile", "phost", "imc10", "--scale", "tiny",
-                     "--flows", "60"]) == 0
+    assert main(["--size-profile", "phost", "imc10", "--scale", "tiny",
+                 "--flows", "60"]) == 0
     out = capsys.readouterr().out
     assert "slowdown by flow size" in out
     assert "slowdown trend:" in out
 
 
 def test_profile_json(capsys):
-    import json as json_mod
-    from repro.experiments.cli import main as cli_main
-
-    assert cli_main(["--size-profile", "pfabric", "imc10", "--scale", "tiny",
-                     "--flows", "60", "--json"]) == 0
-    payload = json_mod.loads(capsys.readouterr().out)
+    assert main(["--size-profile", "pfabric", "imc10", "--scale", "tiny",
+                 "--flows", "60", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["figure"] == "size-profile"
     assert payload["rows"]

@@ -163,6 +163,22 @@ def test_entry_records_the_tuning_that_ran(tmp_path):
     assert kept_entry.key == bare_entry.key
 
 
+@pytest.mark.parametrize("overrides, fused", [
+    ({}, True),
+    ({"protocol": "pfabric"}, True),
+    ({"protocol": "dctcp"}, False),
+    ({"dataplane": "dctcp"}, False),
+])
+def test_entry_records_the_dataplane_that_ran(tmp_path, overrides, fused):
+    """DCTCP's ECN program has no fused queue class, so its ports run
+    the generic engine whatever ``fused_dataplane`` asked for."""
+    result = run_experiment(_tiny_spec(**overrides))
+    assert result.tuning_effective.fused_dataplane is fused
+    entry = RunLedger(tmp_path / "ledger").put(result)
+    assert entry.meta["tuning"] is None
+    assert entry.meta["tuning_effective"]["fused_dataplane"] is fused
+
+
 def test_family_hash_is_seed_blind():
     assert family_hash(_tiny_spec()) == family_hash(_tiny_spec(seed=43))
     assert family_hash(_tiny_spec()) != family_hash(_tiny_spec(load=0.7))
@@ -242,32 +258,6 @@ def test_ledger_families_group_across_seeds(tmp_path):
     assert len({m.spec_hash for m in members}) == 2
 
 
-def test_ledger_bench_reports_append_in_order(tmp_path):
-    ledger = RunLedger(tmp_path / "ledger")
-    ledger.put_bench({"scale": "small", "date": "2026-08-08", "instances": {}})
-    ledger.put_bench({"scale": "medium", "date": "2026-08-08", "instances": {}})
-    ledger.put_bench({"scale": "small", "date": "2026-08-09", "instances": {}})
-    reports = ledger.bench_reports()
-    assert [r["scale"] for r in reports] == ["small", "medium", "small"]
-    assert ledger.latest_bench("medium")["date"] == "2026-08-08"
-    assert ledger.latest_bench("small")["date"] == "2026-08-09"
-    assert ledger.latest_bench("large") is None
-
-
-def _tear_writes(monkeypatch, name_prefix):
-    """Make every write to a file named ``name_prefix*`` stop halfway
-    and raise, the way a writer killed mid-``put`` would."""
-    real_write = Path.write_text
-
-    def torn_write(self, text, *args, **kwargs):
-        if self.name.startswith(name_prefix):
-            real_write(self, text[: len(text) // 2], *args, **kwargs)
-            raise OSError("writer killed mid-write")
-        return real_write(self, text, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "write_text", torn_write)
-
-
 def test_ledger_put_killed_mid_write_leaves_no_torn_entry(
     tmp_path, monkeypatch, observed_result
 ):
@@ -276,7 +266,17 @@ def test_ledger_put_killed_mid_write_leaves_no_torn_entry(
     result = run_experiment(_tiny_spec(seed=43))
     entry_path = ledger.entry_dir(spec_hash(result.spec), run_digest(result)) / "entry.json"
 
-    _tear_writes(monkeypatch, "entry.json")
+    real_write = Path.write_text
+
+    def torn_write(self, text, *args, **kwargs):
+        # Stop every entry.json write halfway and raise, the way a
+        # writer killed mid-put would.
+        if self.name.startswith("entry.json"):
+            real_write(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("writer killed mid-write")
+        return real_write(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
     with pytest.raises(OSError, match="killed"):
         ledger.put(result)
     monkeypatch.undo()
@@ -289,18 +289,6 @@ def test_ledger_put_killed_mid_write_leaves_no_torn_entry(
     retried = ledger.put(result)
     assert json.loads(entry_path.read_text()) == retried.doc
     assert {e.key for e in ledger.entries()} == {kept.key, retried.key}
-
-
-def test_ledger_bench_report_killed_mid_write_is_not_listed(tmp_path, monkeypatch):
-    ledger = RunLedger(tmp_path / "ledger")
-    ledger.put_bench({"scale": "small", "date": "2026-08-08", "instances": {}})
-    _tear_writes(monkeypatch, "000002.json")
-    with pytest.raises(OSError, match="killed"):
-        ledger.put_bench({"scale": "small", "date": "2026-08-09", "instances": {}})
-    monkeypatch.undo()
-    assert [r["date"] for r in ledger.bench_reports()] == ["2026-08-08"]
-    ledger.put_bench({"scale": "small", "date": "2026-08-10", "instances": {}})
-    assert [r["date"] for r in ledger.bench_reports()] == ["2026-08-08", "2026-08-10"]
 
 
 def test_result_metrics_are_strict_json(observed_result):

@@ -20,6 +20,9 @@ from repro.validate import run_digest
 
 PROTOCOLS = ["phost", "pfabric", "fastpass", "ideal", "dctcp"]
 
+#: The pre-optimization path: timer wheel, fused ports and pool all off.
+KNOBS_OFF = SimTuning(timer_wheel=False, fused_ports=False, packet_pool=False)
+
 
 def spec(protocol="phost", seed=5):
     return ExperimentSpec(
@@ -121,7 +124,7 @@ def test_tuning_knobs_do_not_change_behaviour(protocol, seed):
     pooling) are pure performance: with everything OFF
     the digest must be byte-identical to the optimized reference run."""
     baseline = run_digest(
-        run_experiment(spec(protocol, seed).variant(tuning=SimTuning.baseline()))
+        run_experiment(spec(protocol, seed).variant(tuning=KNOBS_OFF))
     )
     assert baseline == digest_of(protocol, seed)
 
@@ -197,7 +200,7 @@ def test_figt_tuning_baseline_is_inert():
     """Optimization knobs stay pure-performance on adversarial
     workloads too."""
     baseline = run_digest(
-        run_experiment(figt_spec("phost", 5).variant(tuning=SimTuning.baseline()))
+        run_experiment(figt_spec("phost", 5).variant(tuning=KNOBS_OFF))
     )
     assert baseline == figt_digest_of("phost", 5)
 
