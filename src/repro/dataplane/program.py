@@ -157,14 +157,7 @@ class DataplaneProgram:
         band (the commodity discipline).
         """
         bands = q.bands
-        best = 0
-        best_band = bands[0]
-        for i in range(1, len(bands)):
-            band = bands[i]
-            if band < best_band:
-                best_band = band
-                best = i
-        return best
+        return bands.index(min(bands))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -177,7 +170,8 @@ class ProgramQueue:
     depends on — ``push(pkt) -> dropped list``, ``pop() -> packet |
     None``, ``bytes_queued``, ``pkts_queued``, ``peek``, ``__len__``,
     ``__bool__`` — so ports cannot tell a program apart from the
-    hand-written queue classes.
+    hand-written queue classes.  It adds ``through(pkt)``, which an idle
+    port calls in place of push-then-pop when it cuts a packet through.
 
     Storage is three parallel arrays in arrival order: packets, their
     classified bands, and monotone arrival stamps.  List order *is*
@@ -197,9 +191,10 @@ class ProgramQueue:
         "_arrival_seq",
     )
 
-    #: Never bypassed by an idle port: classify, meter and the stage
-    #: ledgers must see every packet (see repro.net.port).
-    cut_through = False
+    #: An idle port may bypass the buffer, calling :meth:`through`
+    #: instead, so classify, meter and the stage ledgers still see
+    #: every packet (see repro.net.port).
+    cut_through = True
 
     def __init__(self, program: DataplaneProgram, capacity_bytes: int) -> None:
         self.program = program
@@ -250,6 +245,26 @@ class ProgramQueue:
         else:
             state.admitted += 1
         return dropped
+
+    def through(self, pkt: Packet) -> None:
+        """Account a packet an idle port cuts through this empty queue.
+
+        Push-then-pop of a fitting packet into an empty buffer admits it
+        on capacity alone (no evict), and ``schedule`` over one entry
+        can only answer index 0.  So the port may skip the buffer; this
+        still runs classify and meter against the empty queue, draws the
+        arrival stamp, and counts the packet classified, admitted and
+        scheduled, leaving every ledger as push-then-pop would.
+        """
+        state = self.state
+        program = self.program
+        state.classified += 1
+        program.classify(pkt, self)
+        if program.meter(pkt, self):
+            state.marked += 1
+        self._arrival_seq += 1
+        state.admitted += 1
+        state.scheduled += 1
 
     def pop(self) -> Optional[Packet]:
         if not self.pkts:

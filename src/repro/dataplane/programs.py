@@ -170,13 +170,7 @@ class DctcpEcnProgram(DataplaneProgram):
         return False
 
     def evict(self, pkt: Packet, q: ProgramQueue) -> int:
+        # List order is stamp order, so the newest entry of the highest
+        # band is that band's last occurrence.
         bands = q.bands
-        stamps = q.stamps
-        worst = 0
-        worst_key = (bands[0], stamps[0])
-        for i in range(1, len(bands)):
-            key = (bands[i], stamps[i])
-            if key > worst_key:
-                worst_key = key
-                worst = i
-        return worst
+        return len(bands) - 1 - bands[::-1].index(max(bands))

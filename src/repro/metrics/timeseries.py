@@ -73,6 +73,9 @@ class ThroughputSeries:
     def data_delivered(self, pkt: Packet) -> None:
         self._bin(self.env.now)[0] += max(pkt.size - HEADER_BYTES, 0)
 
+    def data_duplicate(self, pkt: Packet) -> None:
+        pass  # goodput counts each packet once, at its first delivery
+
     def control_sent(self, pkt: Packet) -> None:
         pass
 

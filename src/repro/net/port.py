@@ -30,11 +30,14 @@ Hot-path notes (see docs/PERFORMANCE.md):
   empty queue, that fits the buffer, would be pushed and popped straight
   back out.  When the queue class declares ``cut_through = True`` (the
   hand-fused :class:`~repro.net.queues.PriorityQueue` and
-  :class:`~repro.net.queues.PFabricQueue` do; the generic
-  :class:`~repro.dataplane.ProgramQueue` never does, its stage ledgers
-  must see every packet) the port skips the queue and starts
-  serialization directly, with the same counters, high-water marks and
-  single sequence-number draw as the push-then-pop path.
+  :class:`~repro.net.queues.PFabricQueue` and the generic
+  :class:`~repro.dataplane.ProgramQueue` do; hand-written queues that
+  do not declare it are always pushed) the port skips the queue and
+  starts serialization directly, with the same counters, high-water
+  marks and single sequence-number draw as the push-then-pop path.  A
+  queue with a ``through(pkt)`` method (``ProgramQueue``, whose stage
+  ledgers must see every packet) has it called first; which of the two
+  the cut path runs is bound at construction.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ class Port:
         "max_qlen_pkts",
         "fused",
         "cut_through",
+        "_cut",
         "_tx_entry",
     )
 
@@ -114,6 +118,10 @@ class Port:
         # Whether an idle, empty queue may be bypassed; only queue
         # classes that declare it (see the module docstring).
         self.cut_through = getattr(queue, "cut_through", False) is True
+        self._cut = (
+            self._start if getattr(queue, "through", None) is None
+            else self._through_then_start
+        )
         self._tx_entry: Optional[list] = None  # pending serialization event
 
     def connect(self, peer) -> None:
@@ -139,7 +147,7 @@ class Port:
                 self.max_qlen_bytes = pkt.size
             if not self.max_qlen_pkts:
                 self.max_qlen_pkts = 1
-            self._start(pkt)
+            self._cut(pkt)
             return
         dropped = queue.push(pkt)
         qbytes = queue.bytes_queued
@@ -204,6 +212,11 @@ class Port:
         self._tx_entry = entry
         heappush(env._heap, entry)
         env._live += 1
+
+    def _through_then_start(self, pkt: Packet) -> None:
+        """Cut path of a queue that keeps stage ledgers."""
+        self.queue.through(pkt)
+        self._start(pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
         self.bytes_sent += pkt.size

@@ -40,7 +40,7 @@ import os
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.metrics.timeseries import ColumnarSeries
 
@@ -81,18 +81,28 @@ class LedgerCollisionError(RuntimeError):
     """Same ``(spec_hash, run_digest)`` key, different stored content."""
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` in one step.
+def _write_atomic(path: Path, data: Union[str, Iterable[str]]) -> None:
+    """Replace ``path`` with ``data`` (text, or text chunks) in one step.
 
     The bytes go to a sibling temporary first (``<name>.<pid>.tmp``, which
     no reader glob matches) and are renamed over ``path`` only once
     complete, so a process killed mid-write leaves the previous file, or
     none, never a truncated one.  The pid keeps concurrent writers of
-    the same key off each other's temporaries.
+    the same key off each other's temporaries.  If the write raises (a
+    chunk generator can fail mid-stream), the temporary is removed and
+    the error re-raised.
     """
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        if isinstance(data, str):
+            tmp.write_text(data)
+        else:
+            with tmp.open("w") as f:
+                f.writelines(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +223,30 @@ def series_from_dict(doc: Dict[str, Any]) -> ColumnarSeries:
     return series
 
 
+def _compact(value: Any) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _series_chunks(series: ColumnarSeries) -> Iterator[str]:
+    """The canonical text of ``series``, one column at a time.
+
+    Joined, the chunks are exactly ``json.dumps(series_to_dict(series),
+    sort_keys=True, separators=(",", ":"))``, but only one column's
+    temporaries are alive at once.
+    """
+    yield '{"columns":{'
+    columns = series.columns
+    for i, name in enumerate(sorted(columns)):
+        cells = [None if math.isnan(v) else v for v in columns[name]]
+        yield ("," if i else "") + _compact(name) + ":" + _compact(cells)
+    yield '},"schema":"columnar-series/v1","times":'
+    yield _compact(series.times)
+    yield "}"
+
+
 def serialize_series(series: ColumnarSeries) -> str:
     """Canonical JSON text (sorted keys) — the stored byte form."""
-    return json.dumps(series_to_dict(series), sort_keys=True, separators=(",", ":"))
+    return "".join(_series_chunks(series))
 
 
 def deserialize_series(text: str) -> ColumnarSeries:
@@ -496,7 +527,7 @@ class RunLedger:
 
         entry_dir.mkdir(parents=True, exist_ok=True)
         if telemetry is not None and telemetry.series is not None:
-            _write_atomic(entry_dir / "series.json", serialize_series(telemetry.series))
+            _write_atomic(entry_dir / "series.json", _series_chunks(telemetry.series))
         if result.audit is not None:
             _write_atomic(
                 entry_dir / "audit.json",

@@ -10,6 +10,17 @@ finalize: the end-to-end packet ledger, the payload-byte ledger, and a
 per-port ledger built from the counters every
 :class:`repro.net.port.Port` keeps (packets entering a port must equal
 packets transmitted + dropped + still queued + in serialization).
+
+Memory is bounded by the flows still open, not by the packets already
+sent.  An open flow's ledger is two ``bytearray(n_pkts)`` maps (sent,
+delivered) with a count of the seqs set in each.  A flow that completes
+with both counts at ``n_pkts`` is released to a set of closed fids: every
+in-range seq of a closed flow was sent and delivered, so each later
+question about one answers yes without a map.  A flow that completes
+uncleanly keeps its maps.  Out-of-range seqs (already a violation) go to
+a small per-flow overflow set, so every verdict and count matches full
+per-flow seq sets for any event stream.  A fid names one flow for the
+whole run; the workload layer numbers flows sequentially.
 """
 
 from __future__ import annotations
@@ -21,6 +32,19 @@ from repro.sim.units import HEADER_BYTES
 from repro.validate.base import Auditor
 
 __all__ = ["ConservationAuditor"]
+
+
+class _FlowLedger:
+    """One open flow's live ledger: a byte per seq (sent, delivered)
+    plus how many distinct seqs each map holds."""
+
+    __slots__ = ("sent", "delivered", "n_sent", "n_delivered")
+
+    def __init__(self, n_pkts: int) -> None:
+        self.sent = bytearray(n_pkts)
+        self.delivered = bytearray(n_pkts)
+        self.n_sent = 0
+        self.n_delivered = 0
 
 
 class ConservationAuditor(Auditor):
@@ -74,15 +98,19 @@ class ConservationAuditor(Auditor):
             "independent of the drop columns)",
         )
         self._flows: Dict[int, object] = {}
-        self._sent: Dict[int, Set[int]] = {}
-        self._delivered: Dict[int, Set[int]] = {}
+        self._open: Dict[int, _FlowLedger] = {}
+        self._closed: Set[int] = set()
+        self._overflow: Dict[int, Set[int]] = {}
         self._completed: Set[int] = set()
         self._send_events = 0
         self._deliver_events = 0
         self._dup_events = 0
         self._data_drops = 0
         self._fault_data_drops = 0
-        self._payload_bytes = 0
+        # The per-event hooks bump these directly (no method call).
+        self._injection = self.checks["unique-injection"]
+        self._once = self.checks["delivery-once"]
+        self._accounted = self.checks["delivery-accounted"]
 
     # ------------------------------------------------------------------
     def bind(self, ctx) -> "ConservationAuditor":
@@ -105,65 +133,96 @@ class ConservationAuditor(Auditor):
 
     def data_sent(self, pkt, first_time: bool) -> None:
         self._send_events += 1
-        self._checked("unique-injection")
-        fid = pkt.flow.fid
-        seqs = self._sent.setdefault(fid, set())
-        if not 0 <= pkt.seq < pkt.flow.n_pkts:
+        self._injection.checked += 1
+        flow = pkt.flow
+        fid = flow.fid
+        seq = pkt.seq
+        if not 0 <= seq < flow.n_pkts:
             self._violate(
                 "unique-injection",
-                f"flow {fid} sent out-of-range seq {pkt.seq}",
-                fid=fid, seq=pkt.seq, n_pkts=pkt.flow.n_pkts,
+                f"flow {fid} sent out-of-range seq {seq}",
+                fid=fid, seq=seq, n_pkts=flow.n_pkts,
             )
             return
-        if first_time and pkt.seq in seqs:
+        ledger = self._open.get(fid)
+        if ledger is None:
+            if fid in self._closed:
+                was_sent = True
+            else:
+                ledger = self._open[fid] = _FlowLedger(flow.n_pkts)
+                was_sent = False
+        else:
+            was_sent = ledger.sent[seq]
+        if first_time and was_sent:
             self._violate(
                 "unique-injection",
-                f"flow {fid} seq {pkt.seq} injected as first-time twice",
-                fid=fid, seq=pkt.seq,
+                f"flow {fid} seq {seq} injected as first-time twice",
+                fid=fid, seq=seq,
             )
-        elif not first_time and pkt.seq not in seqs:
+        elif not first_time and not was_sent:
             self._violate(
                 "unique-injection",
-                f"flow {fid} seq {pkt.seq} retransmitted before any injection",
-                fid=fid, seq=pkt.seq,
+                f"flow {fid} seq {seq} retransmitted before any injection",
+                fid=fid, seq=seq,
             )
-        seqs.add(pkt.seq)
+        if not was_sent:
+            ledger.sent[seq] = 1
+            ledger.n_sent += 1
 
     def data_delivered(self, pkt) -> None:
         self._deliver_events += 1
-        self._checked("delivery-once")
-        self._checked("delivery-accounted")
-        fid = pkt.flow.fid
-        delivered = self._delivered.setdefault(fid, set())
-        if pkt.seq in delivered:
+        self._once.checked += 1
+        self._accounted.checked += 1
+        flow = pkt.flow
+        fid = flow.fid
+        seq = pkt.seq
+        in_range = 0 <= seq < flow.n_pkts
+        if in_range:
+            ledger = self._open.get(fid)
+            if ledger is None:
+                if fid in self._closed:
+                    was_delivered = was_sent = True
+                else:
+                    ledger = self._open[fid] = _FlowLedger(flow.n_pkts)
+                    was_delivered = was_sent = False
+            else:
+                was_delivered = ledger.delivered[seq]
+                was_sent = ledger.sent[seq]
+        else:
+            overflow = self._overflow.setdefault(fid, set())
+            was_delivered = seq in overflow
+            was_sent = False  # out-of-range seqs are never ledgered as sent
+        if was_delivered:
             self._violate(
                 "delivery-once",
-                f"flow {fid} seq {pkt.seq} counted delivered twice",
-                fid=fid, seq=pkt.seq,
+                f"flow {fid} seq {seq} counted delivered twice",
+                fid=fid, seq=seq,
             )
             return
-        if pkt.seq not in self._sent.get(fid, ()):
+        if not was_sent:
             self._violate(
                 "delivery-accounted",
-                f"flow {fid} seq {pkt.seq} delivered but never sent",
-                fid=fid, seq=pkt.seq,
+                f"flow {fid} seq {seq} delivered but never sent",
+                fid=fid, seq=seq,
             )
-        expected = pkt.flow.payload_of(pkt.seq) if 0 <= pkt.seq < pkt.flow.n_pkts else -1
+        expected = flow.payload_of(seq) if in_range else -1
         payload = max(pkt.size - HEADER_BYTES, 0)
         if payload != expected:
             self._violate(
                 "delivery-accounted",
-                f"flow {fid} seq {pkt.seq} delivered {payload}B, expected {expected}B",
-                fid=fid, seq=pkt.seq, payload=payload, expected=expected,
+                f"flow {fid} seq {seq} delivered {payload}B, expected {expected}B",
+                fid=fid, seq=seq, payload=payload, expected=expected,
             )
-        delivered.add(pkt.seq)
-        self._payload_bytes += payload
+        if in_range:
+            ledger.delivered[seq] = 1
+            ledger.n_delivered += 1
+        else:
+            overflow.add(seq)
 
     def data_duplicate(self, pkt) -> None:
         self._dup_events += 1
-        self._checked("delivery-once")
-        delivered = self._delivered.get(pkt.flow.fid, ())
-        if pkt.seq not in delivered:
+        self._once.checked += 1
+        if not self._was_delivered(pkt.flow, pkt.seq):
             self._violate(
                 "delivery-once",
                 f"flow {pkt.flow.fid} seq {pkt.seq} discarded as duplicate "
@@ -173,22 +232,32 @@ class ConservationAuditor(Auditor):
 
     def flow_completed(self, flow, now: float) -> None:
         self._checked("completion")
-        if flow.fid in self._completed:
+        fid = flow.fid
+        if fid in self._completed:
             self._violate(
                 "completion",
-                f"flow {flow.fid} completed twice",
-                fid=flow.fid,
+                f"flow {fid} completed twice",
+                fid=fid,
             )
             return
-        self._completed.add(flow.fid)
-        delivered = self._delivered.get(flow.fid, set())
-        if len(delivered) != flow.n_pkts:
+        self._completed.add(fid)
+        ledger = self._open.get(fid)
+        n_sent = n_delivered = 0
+        if ledger is not None:
+            n_sent, n_delivered = ledger.n_sent, ledger.n_delivered
+        delivered = n_delivered + len(self._overflow.get(fid, ()))
+        if delivered != flow.n_pkts:
             self._violate(
                 "completion",
-                f"flow {flow.fid} completed with {len(delivered)}/{flow.n_pkts} "
+                f"flow {fid} completed with {delivered}/{flow.n_pkts} "
                 "packets delivered",
-                fid=flow.fid, delivered=len(delivered), n_pkts=flow.n_pkts,
+                fid=fid, delivered=delivered, n_pkts=flow.n_pkts,
             )
+        if n_sent == n_delivered == flow.n_pkts:
+            # Every in-range seq was sent and delivered: from here on the
+            # answer to "was it?" is always yes, so the maps can go.
+            self._open.pop(fid, None)
+            self._closed.add(fid)
 
     def on_drop(self, pkt, hop_index: int) -> None:
         if pkt.ptype != PacketType.DATA:
@@ -196,9 +265,9 @@ class ConservationAuditor(Auditor):
         if pkt.seq < 0:  # pFabric probes: header-only, never ledgered as sent
             return
         self._data_drops += 1
-        self._checked("drop-accounted")
-        fid = pkt.flow.fid if pkt.flow is not None else None
-        if fid is None or pkt.seq not in self._sent.get(fid, ()):
+        self.checks["drop-accounted"].checked += 1
+        if not self._was_sent(pkt.flow, pkt.seq):
+            fid = pkt.flow.fid if pkt.flow is not None else None
             self._violate(
                 "drop-accounted",
                 f"dropped data packet (flow {fid}, seq {pkt.seq}) was never sent",
@@ -214,15 +283,32 @@ class ConservationAuditor(Auditor):
         if pkt.seq < 0:  # pFabric probes: header-only, never ledgered as sent
             return
         self._fault_data_drops += 1
-        self._checked("fault-drop-accounted")
-        fid = pkt.flow.fid if pkt.flow is not None else None
-        if fid is None or pkt.seq not in self._sent.get(fid, ()):
+        self.checks["fault-drop-accounted"].checked += 1
+        if not self._was_sent(pkt.flow, pkt.seq):
+            fid = pkt.flow.fid if pkt.flow is not None else None
             self._violate(
                 "fault-drop-accounted",
                 f"injected-dropped data packet (flow {fid}, seq {pkt.seq}) "
                 "was never sent",
                 fid=fid, seq=pkt.seq, hop=hop_index,
             )
+
+    # ------------------------------------------------------------------
+    def _was_sent(self, flow, seq: int) -> bool:
+        if flow is None or not 0 <= seq < flow.n_pkts:
+            return False
+        ledger = self._open.get(flow.fid)
+        if ledger is None:
+            return flow.fid in self._closed
+        return bool(ledger.sent[seq])
+
+    def _was_delivered(self, flow, seq: int) -> bool:
+        if not 0 <= seq < flow.n_pkts:
+            return seq in self._overflow.get(flow.fid, ())
+        ledger = self._open.get(flow.fid)
+        if ledger is None:
+            return flow.fid in self._closed
+        return bool(ledger.delivered[seq])
 
     # ------------------------------------------------------------------
     # End-of-run ledger reconciliation

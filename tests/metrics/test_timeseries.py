@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import make_spec, run_experiment
 from repro.experiments.runner import build_simulation
 from repro.experiments.spec import ExperimentSpec
 from repro.metrics.timeseries import ThroughputSeries
@@ -74,3 +75,24 @@ def test_window_dataclass_goodput():
 
     w = Window(start=0.0, bytes_delivered=125_000, flows_completed=1, flows_arrived=2)
     assert w.goodput_bps(1e-3) == pytest.approx(1e9)
+
+
+
+class _AttachSeries:
+    """Instrument hook: attaches a ThroughputSeries to the run's collector."""
+
+    def bind(self, ctx):
+        self.collector = ctx.collector
+        self.series = ThroughputSeries(ctx.env, 50e-6)
+        ctx.collector.add_observer(self.series)
+
+
+@pytest.mark.parametrize("protocol", ["phost", "pfabric"])
+def test_series_survives_duplicate_deliveries(protocol):
+    hook = _AttachSeries()
+    spec = make_spec(protocol, "websearch", "tiny", seed=42).variant(instruments=(hook,))
+    result = run_experiment(spec)
+    assert hook.collector.data_pkts_duplicate > 0  # the hook was exercised
+    assert result.n_completed == result.n_flows
+    # Goodput counts each packet once: duplicates add no bytes.
+    assert hook.series.total_bytes() == result.payload_bytes_delivered

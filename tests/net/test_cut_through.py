@@ -2,17 +2,25 @@
 
 A :class:`Port` over a queue class that declares ``cut_through = True``
 skips the queue when a fitting packet finds the port idle and the queue
-empty.  The oracle is the same timed send sequence over the generic
-:class:`ProgramQueue` running the matching reference program, which
-never cuts through: deliveries, port counters, high-water marks and the
-event loop's sequence counter must all come out identical.
+empty.  The oracle is the same timed send sequence with the port's
+cut-through turned off, so every packet is pushed and popped, over the
+generic :class:`ProgramQueue` running the matching program: deliveries
+(with their ECN marks), port counters, high-water marks and the event
+loop's sequence counter must all come out identical, and a
+``ProgramQueue`` that cuts through must also leave the same stage
+ledgers.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.dataplane import CommodityProgram, PFabricProgram, ProgramQueue
+from repro.dataplane import (
+    CommodityProgram,
+    DctcpEcnProgram,
+    PFabricProgram,
+    ProgramQueue,
+)
 from repro.net.packet import Flow, Packet, PacketType
 from repro.net.port import Port
 from repro.net.queues import PFabricQueue, PriorityQueue
@@ -41,14 +49,17 @@ class Sink:
         self.got = []
 
     def receive(self, pkt):
-        self.got.append((self.env.now, pkt.seq))
+        self.got.append((self.env.now, pkt.seq, pkt.ecn))
 
 
-def _run(queue, sends, pull_budget):
+def _run(queue, sends, pull_budget, cut_through=True):
     """Replay ``sends`` into a fresh port over ``queue``; a pull source
-    offers ``pull_budget`` extra data packets whenever the port idles."""
+    offers ``pull_budget`` extra data packets whenever the port idles.
+    ``cut_through=False`` forces every packet through push and pop."""
     env = EventLoop()
     port = Port(env, RATE_BPS, PROP_S, queue)
+    if not cut_through:
+        port.cut_through = False
     sink = Sink(env)
     port.connect(sink)
     if pull_budget:
@@ -75,16 +86,34 @@ def _run(queue, sends, pull_budget):
         port.pkts_enqueued, port.pkts_sent, port.pkts_dropped, port.pkts_pulled,
         port.max_qlen_bytes, port.max_qlen_pkts,
     )
-    return sink.got, counters, env._seq
+    state = getattr(queue, "state", None)
+    ledger = state.to_dict() if state is not None else None
+    return sink.got, counters, env._seq, ledger
 
 
 @given(_sends, st.sampled_from([1500, 3000, 6000]), st.sampled_from([0, 0, 3]))
 def test_cut_through_matches_the_program_engine(sends, capacity, pull_budget):
-    for fast, reference in (
-        (PriorityQueue(capacity), ProgramQueue(CommodityProgram(), capacity)),
-        (PFabricQueue(capacity), ProgramQueue(PFabricProgram(), capacity)),
+    for fast, program in (
+        (PriorityQueue(capacity), CommodityProgram()),
+        (PFabricQueue(capacity), PFabricProgram()),
     ):
-        assert _run(fast, sends, pull_budget) == _run(reference, sends, pull_budget)
+        reference = ProgramQueue(program, capacity)
+        assert (
+            _run(fast, sends, pull_budget)[:3]
+            == _run(reference, sends, pull_budget, cut_through=False)[:3]
+        )
+
+
+@given(_sends, st.sampled_from([1500, 3000, 6000]), st.sampled_from([0, 0, 3]))
+def test_program_queue_cut_through_keeps_its_ledgers(sends, capacity, pull_budget):
+    for program in (
+        CommodityProgram(),
+        PFabricProgram(),
+        DctcpEcnProgram(mark_threshold_bytes=1500),
+    ):
+        cut = _run(ProgramQueue(program, capacity), sends, pull_budget)
+        pushed = _run(ProgramQueue(program, capacity), sends, pull_budget, cut_through=False)
+        assert cut == pushed
 
 
 class CountingQueue(PriorityQueue):
@@ -148,7 +177,8 @@ class HandWrittenFifo:
 
 
 def _idle_sends(queue):
-    """Four packets, each arriving after the port has drained."""
+    """Four packets, each arriving after the port has drained; returns
+    the port."""
     env = EventLoop()
     port = Port(env, RATE_BPS, PROP_S, queue)
     sink = Sink(env)
@@ -156,13 +186,13 @@ def _idle_sends(queue):
     for seq in range(4):
         env.schedule_at(seq * 5e-6, port.send, Packet(PacketType.DATA, None, seq, 0, 1, 1500))
     env.run()
-    assert not port.cut_through
-    assert [seq for _, seq in sink.got] == [0, 1, 2, 3]
+    assert [seq for _, seq, _ in sink.got] == [0, 1, 2, 3]
+    return port
 
 
 def test_undeclared_queue_sees_every_packet():
     queue = HandWrittenFifo(36_000)
-    _idle_sends(queue)
+    assert not _idle_sends(queue).cut_through
     assert queue.pushes == 4
 
 

@@ -2,12 +2,14 @@
 
 Pins the persistence contracts the dashboard depends on:
 
-* ColumnarSeries round-trips byte-identically (NaN included);
+* ColumnarSeries round-trips byte-identically (NaN included), and the
+  streamed series.json text is the one-shot ``json.dumps`` form;
 * spec hashing is stable, observation-blind, and seed-sensitive —
   while the family hash is seed-blind;
 * the ledger is idempotent per ``(spec_hash, run_digest)`` key and
   refuses to overwrite mismatched content under one key;
-* a write killed halfway leaves no truncated file for readers to trip on;
+* a write killed halfway leaves no truncated file for readers to trip on,
+  and a write that raises leaves no temporary behind;
 * results are stamped with self-describing run metadata.
 """
 
@@ -18,6 +20,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.experiments.runner import run_experiment
 from repro.experiments.spec import ExperimentSpec
@@ -30,7 +33,10 @@ from repro.obs.store import (
     deserialize_series,
     family_hash,
     result_metrics,
+    _series_chunks,
+    _write_atomic,
     serialize_series,
+    series_to_dict,
     spec_hash,
 )
 from repro.validate import run_digest
@@ -84,6 +90,40 @@ def test_series_round_trip_of_real_run(observed_result):
     series = observed_result.telemetry.series
     blob = serialize_series(series)
     assert serialize_series(deserialize_series(blob)) == blob
+
+
+_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(math.nan),
+)
+
+
+@st.composite
+def _series(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    series = ColumnarSeries()
+    series.times = draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n))
+    names = draw(st.lists(st.text(max_size=6), max_size=5, unique=True))
+    for name in names:
+        series.columns[name] = draw(st.lists(_cells, min_size=n, max_size=n))
+    return series
+
+
+@given(_series())
+def test_streamed_series_is_the_json_dumps_form(series):
+    expected = json.dumps(series_to_dict(series), sort_keys=True, separators=(",", ":"))
+    assert serialize_series(series) == expected
+
+
+def test_streamed_series_escapes_names_and_nulls_nan(tmp_path):
+    series = ColumnarSeries()
+    series.append(0.0, {'q"uote\\': 1.0, "tab\tn\u00e9": math.nan})
+    series.append(1e-6, {"ctl\x01": 2.5})
+    path = tmp_path / "series.json"
+    _write_atomic(path, _series_chunks(series))
+    expected = json.dumps(series_to_dict(series), sort_keys=True, separators=(",", ":"))
+    assert path.read_text() == expected
+    assert "null" in expected and "NaN" not in expected
 
 
 def test_series_deserialize_rejects_ragged_columns():
@@ -297,3 +337,35 @@ def test_result_metrics_are_strict_json(observed_result):
     # contract is that every stored number is strict JSON.
     json.dumps(metrics, allow_nan=False)
     assert metrics["completion_rate"] == 1.0
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _failing_chunks():
+    yield '{"columns":'
+    raise _Boom("chunk generator failed mid-stream")
+
+
+def _torn_text(monkeypatch):
+    real_write = Path.write_text
+
+    def torn(self, text, *args, **kwargs):
+        real_write(self, text[: len(text) // 2], *args, **kwargs)
+        raise _Boom("writer failed mid-write")
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    return '{"new": true}'
+
+
+@pytest.mark.parametrize("make_data", [lambda mp: _failing_chunks(), _torn_text])
+def test_failed_write_leaves_no_temporary(tmp_path, monkeypatch, make_data):
+    path = tmp_path / "series.json"
+    path.write_text("old")
+    data = make_data(monkeypatch)
+    with pytest.raises(_Boom):
+        _write_atomic(path, data)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.json"]
+    assert path.read_text() == "old"
