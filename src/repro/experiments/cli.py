@@ -496,19 +496,15 @@ def _list_protocols(args: argparse.Namespace) -> int:
                 "protocol": name,
                 "switch_dataplane": spec.switch_dataplane,
                 "host_dataplane": spec.host_dataplane,
-                "legacy_queue_factories": bool(
-                    spec.switch_queue_factory or spec.host_queue_factory
-                ),
             }
         )
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0
     for row in rows:
-        extra = " (legacy queue factories)" if row["legacy_queue_factories"] else ""
         print(
             f"{row['protocol']:10s} switch={row['switch_dataplane']} "
-            f"host={row['host_dataplane']}{extra}"
+            f"host={row['host_dataplane']}"
         )
     return 0
 

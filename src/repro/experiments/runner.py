@@ -84,34 +84,23 @@ def _resolve_tm(spec: ExperimentSpec, n_hosts: int, rng: SeededRng):
 def _resolve_dataplane(spec: ExperimentSpec, proto, tuning: SimTuning):
     """(DataplaneBinding, switch queue factory, host queue factory).
 
-    Resolution order per side: the spec-level ``dataplane`` override,
-    then a legacy ``*_queue_factory`` callable on the protocol spec
-    (external registrants constructing queues directly), then the
-    protocol's declared program name.  The returned binding records
-    which programs ended up driving the fabric (None when both sides
-    came from legacy factories).
+    Each side runs the spec-level ``dataplane`` override if set, else
+    the program the protocol declares for it.
     """
     from repro.dataplane import DataplaneBinding, get_dataplane
 
     fused = tuning.fused_dataplane
     if spec.dataplane is not None:
-        program = get_dataplane(spec.dataplane)
-        binding = DataplaneBinding(switch=program, host=program)
-        factory = lambda cap: program.make_queue(cap, fused=fused)  # noqa: E731
-        return binding, factory, factory
-
-    def side(queue_factory, program_name):
-        if queue_factory is not None:
-            return None, queue_factory
-        program = get_dataplane(program_name)
-        return program, lambda cap: program.make_queue(cap, fused=fused)
-
-    switch_prog, switch_qf = side(proto.switch_queue_factory, proto.switch_dataplane)
-    host_prog, host_qf = side(proto.host_queue_factory, proto.host_dataplane)
-    binding = None
-    if switch_prog is not None and host_prog is not None:
-        binding = DataplaneBinding(switch=switch_prog, host=host_prog)
-    return binding, switch_qf, host_qf
+        switch_prog = host_prog = get_dataplane(spec.dataplane)
+    else:
+        switch_prog = get_dataplane(proto.switch_dataplane)
+        host_prog = get_dataplane(proto.host_dataplane)
+    binding = DataplaneBinding(switch=switch_prog, host=host_prog)
+    return (
+        binding,
+        lambda cap: switch_prog.make_queue(cap, fused=fused),
+        lambda cap: host_prog.make_queue(cap, fused=fused),
+    )
 
 
 def build_simulation(spec: ExperimentSpec) -> SimContext:

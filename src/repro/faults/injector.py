@@ -20,6 +20,7 @@ faults cannot perturb workload generation or spray draws, and a given
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Dict, List, Optional
 
 from repro.faults.models import BernoulliLoss, GilbertElliottLoss
@@ -189,14 +190,13 @@ class FaultInjector:
             tap = _LinkTap(self, port.peer, port.name, port.hop_index, model, corrupt, rng)
             port.peer = tap
             self.taps[port.name] = tap
-        # Spray-table maintenance: which switch owns each ToR uplink
-        # whose routing closure can exclude dead links.
-        for tor in getattr(ctx.fabric, "tors", []):
-            if getattr(tor.route, "set_live_uplinks", None) is None:
+        # Spray-table maintenance: which switch sprays over each uplink
+        # (any switch whose routing closure can exclude dead links).
+        for switch in ctx.fabric.switches:
+            if getattr(switch.route, "set_live_uplinks", None) is None:
                 continue
-            for port in tor.ports:
-                if port.hop_index == 2:
-                    self._spray_switch[port.name] = tor
+            for port in switch.route.uplinks:
+                self._spray_switch[port.name] = switch
 
     def _schedule_outages(self, ctx) -> None:
         env = ctx.env
@@ -206,9 +206,10 @@ class FaultInjector:
         for ev in events:
             tap = self.taps.get(ev.link)
             if tap is None:
+                patterns = dict.fromkeys(re.sub(r"\d+", "*", name) for name in self.taps)
                 raise ValueError(
                     f"fault plan names unknown link {ev.link!r} "
-                    f"(known: h*.nic, tor*.up.c*, tor*.down.h*, core*.down.tor*)"
+                    f"(known: {', '.join(patterns)})"
                 )
             env.schedule_at(ev.down_at, self._set_link_state, tap, True)
             if ev.up_at != float("inf"):
@@ -252,14 +253,10 @@ class FaultInjector:
             self.link_down_events += 1
         else:
             self.links_down_now -= 1
-        tor = self._spray_switch.get(tap.name)
-        if tor is not None:
-            live = [
-                p
-                for p in tor.ports
-                if p.hop_index == 2 and not self.taps[p.name].down
-            ]
-            tor.route.set_live_uplinks(live)
+        switch = self._spray_switch.get(tap.name)
+        if switch is not None:
+            route = switch.route
+            route.set_live_uplinks([p for p in route.uplinks if not self.taps[p.name].down])
 
     def _blackout(self, set_offline, offline: bool) -> None:
         if offline:

@@ -1,8 +1,9 @@
 """Packet-drop accounting (Figures 5e and 5f).
 
-The fabric counts drops per hop (1 = host NIC, 2 = ToR up, 3 = core,
-4 = ToR down); :class:`DropStats` snapshots those counters together with
-the injection totals needed to express a drop *rate*.
+The fabric counts drops per hop (two-tier: 1 = host NIC, 2 = ToR up,
+3 = core, 4 = ToR down; see its ``hop_names``); :class:`DropStats`
+snapshots those counters and names together with the injection totals
+needed to express a drop *rate*.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ class DropStats:
     total_drops: int
     pkts_injected: int
     pkts_retransmitted: int
+    #: Hop index -> name of the fabric that ran, in traversal order.
+    hop_names: Dict[int, str] = field(default_factory=HOP_NAMES.copy)
 
     @classmethod
     def from_run(cls, fabric: Fabric, collector: MetricsCollector) -> "DropStats":
@@ -32,6 +35,7 @@ class DropStats:
             total_drops=fabric.drops_total,
             pkts_injected=collector.data_pkts_injected,
             pkts_retransmitted=collector.data_pkts_retransmitted,
+            hop_names=dict(fabric.hop_names),
         )
 
     @property
@@ -45,16 +49,17 @@ class DropStats:
     @property
     def edge_drops(self) -> int:
         """First + last hop drops (where pFabric concentrates losses)."""
-        return self.by_hop.get(1, 0) + self.by_hop.get(4, 0)
+        hops = sorted(self.hop_names)
+        return self.by_hop.get(hops[0], 0) + self.by_hop.get(hops[-1], 0)
 
     @property
     def fabric_drops(self) -> int:
-        """Drops inside the fabric (hops 2 and 3)."""
-        return self.by_hop.get(2, 0) + self.by_hop.get(3, 0)
+        """Drops inside the fabric (every hop but the first and last)."""
+        return sum(self.by_hop.get(h, 0) for h in sorted(self.hop_names)[1:-1])
 
     def rows(self):
         """(hop name, count) rows in hop order, for reports."""
-        return [(HOP_NAMES[h], self.by_hop.get(h, 0)) for h in sorted(HOP_NAMES)]
+        return [(name, self.by_hop.get(h, 0)) for h, name in sorted(self.hop_names.items())]
 
     def __str__(self) -> str:
         parts = ", ".join(f"{name}={count}" for name, count in self.rows())

@@ -1,4 +1,4 @@
-"""Routing and load-balancing policies for the two-tier fabric.
+"""Routing and load-balancing policies for tree fabrics.
 
 The paper relies on *packet spraying*: each packet of an inter-rack flow
 is sent to a core switch chosen uniformly at random, which (together
@@ -6,12 +6,12 @@ with full bisection bandwidth) removes essentially all congestion from
 the core (§2.3).  We also provide per-flow ECMP as an ablation, since
 the paper cites both options as commodity features.
 
-These functions build routing closures for :class:`repro.net.switch.Switch`.
-Per-destination decisions are precomputed into dense tables (the host-id
-space is contiguous) so the per-packet work is one list index plus — for
-sprayed inter-rack traffic — exactly the same single ``randrange`` draw
-the uncached closure made, keeping sprayed runs bit-reproducible across
-the cached and fallback paths.
+These functions build the routing closures of every
+:class:`repro.net.switch.Switch` in the repository: the two-tier tree's
+ToRs and cores, and the fat-tree's edge, aggregation and core switches.
+Per-destination decisions are precomputed into dense tables (the
+host-id space is contiguous) so the per-packet work is one list index
+plus — for sprayed upward traffic — a single ``randbelow`` draw.
 """
 
 from __future__ import annotations
@@ -31,22 +31,24 @@ ECMP = "ecmp"
 def make_tor_route(
     down_ports: Dict[int, Port],
     up_ports: List[Port],
-    rack_of: Callable[[int], int],
-    rack_id: int,
+    n_hosts: int,
     rng: SeededRng,
     mode: str = SPRAY,
-    n_hosts: Optional[int] = None,
 ) -> Callable[[Packet], Port]:
-    """Routing closure for a top-of-rack switch.
+    """Routing closure for a switch with uplinks to spray over.
 
-    Local destinations go straight down; remote ones go up via spraying
-    (uniform per-packet) or ECMP (hash of flow id, per-flow stable).
+    ``down_ports`` maps every host below the switch to the port towards
+    it (a ToR's or edge switch's hosts; every host of an aggregation
+    switch's pod).  Those destinations go straight down; all others go
+    up via spraying (uniform per-packet) or ECMP (hash of flow id,
+    per-flow stable).  The lookup is a dense list indexed by host id
+    (``None`` marks a destination that goes up — the spray candidates
+    are the full ``up_ports`` list for every one, per §2.3's uniform
+    spraying).
 
-    With ``n_hosts`` the per-destination down-port lookup is a dense
-    list indexed by host id (``None`` marks a remote destination — the
-    spray candidates are the full ``up_ports`` list for every remote
-    host, per §2.3's uniform spraying).  Without it the same table is
-    built lazily, keyed by destination.
+    The closure carries its uplinks (``route.uplinks``) and a mutable
+    live set (``route.set_live_uplinks`` / ``route.live_uplinks``) so
+    the fault layer can exclude dead links.
     """
     n_up = len(up_ports)
     if mode not in (SPRAY, ECMP):
@@ -79,36 +81,10 @@ def make_tor_route(
     def live_uplinks() -> List[Port]:
         return list(live)
 
-    if n_hosts is not None:
-        # Dense precomputed table: down_ports holds exactly this rack's
-        # hosts, so membership doubles as the locality test.
-        local: List[Optional[Port]] = [down_ports.get(d) for d in range(n_hosts)]
-
-        def route(pkt: Packet) -> Port:
-            port = local[pkt.dst]
-            if port is not None:
-                return port
-            n = state[0]
-            if n == 1:
-                return state[1]
-            if spray:
-                return live[randrange(n)]
-            fid = pkt.flow.fid if pkt.flow is not None else pkt.seq
-            return live[hash(fid) % n]
-
-        route.set_live_uplinks = set_live_uplinks
-        route.live_uplinks = live_uplinks
-        return route
-
-    lazy: Dict[int, Optional[Port]] = {}
-    _miss = object()
+    local: List[Optional[Port]] = [down_ports.get(d) for d in range(n_hosts)]
 
     def route(pkt: Packet) -> Port:
-        dst = pkt.dst
-        port = lazy.get(dst, _miss)
-        if port is _miss:
-            port = down_ports[dst] if rack_of(dst) == rack_id else None
-            lazy[dst] = port
+        port = local[pkt.dst]
         if port is not None:
             return port
         n = state[0]
@@ -119,30 +95,25 @@ def make_tor_route(
         fid = pkt.flow.fid if pkt.flow is not None else pkt.seq
         return live[hash(fid) % n]
 
+    route.uplinks = tuple(up_ports)
     route.set_live_uplinks = set_live_uplinks
     route.live_uplinks = live_uplinks
     return route
 
 
 def make_core_route(
-    rack_ports: List[Port],
-    rack_of: Callable[[int], int],
-    n_hosts: Optional[int] = None,
+    down_ports: List[Port],
+    group_of: Callable[[int], int],
+    n_hosts: int,
 ) -> Callable[[Packet], Port]:
-    """Routing closure for a core switch: one port per rack, downhill only.
+    """Routing closure for a core switch: downhill only, one port per
+    group of hosts (a two-tier rack, a fat-tree pod).
 
-    With ``n_hosts`` the rack lookup is flattened into one dense
-    host-id -> port table (a single list index per packet)."""
-
-    if n_hosts is not None:
-        table: List[Port] = [rack_ports[rack_of(d)] for d in range(n_hosts)]
-
-        def route(pkt: Packet) -> Port:
-            return table[pkt.dst]
-
-        return route
+    ``group_of`` is flattened into one dense host-id -> port table (a
+    single list index per packet)."""
+    table: List[Port] = [down_ports[group_of(d)] for d in range(n_hosts)]
 
     def route(pkt: Packet) -> Port:
-        return rack_ports[rack_of(pkt.dst)]
+        return table[pkt.dst]
 
     return route

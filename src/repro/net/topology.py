@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.net.node import Host
-from repro.net.packet import Packet
+from repro.net.packet import Flow, Packet
 from repro.net.port import Port
 from repro.net.queues import PriorityQueue
 from repro.net.routing import SPRAY, make_core_route, make_tor_route
@@ -105,11 +105,21 @@ class TopologyConfig:
 
 
 class Fabric:
-    """A built network: hosts, ToR switches, core switches, and links.
+    """A built network: hosts, switches, links — by default the paper's
+    two-tier tree of ToR and core switches.
 
-    Drop accounting is centralized here: every port reports drops with
-    its hop index, and `drops_by_hop` / `drops_by_type` accumulate them.
+    Everything that does not depend on the wiring lives here: port
+    construction, the congestion and fault drop ledgers (keyed by
+    :attr:`hop_names`), and the unloaded-path arithmetic derived from
+    :meth:`path_rates`.  Another topology subclasses this and supplies
+    its wiring (:meth:`_wire`), :attr:`hop_names` and path model
+    (:meth:`same_rack`, :meth:`hop_count`, :meth:`path_rates`); see
+    :class:`repro.net.fattree.FatTreeFabric`.
     """
+
+    #: Hop index -> name, in traversal order (first = sender NIC, last =
+    #: the receiver's downlink).
+    hop_names: Dict[int, str] = HOP_NAMES
 
     def __init__(
         self,
@@ -121,10 +131,8 @@ class Fabric:
     ) -> None:
         self.env = env
         self.config = config
-        self.rng = rng.stream("fabric")
-        qf = queue_factory or _default_queue_factory
-        host_qf = host_queue_factory or qf
-        self.drops_by_hop: Dict[int, int] = {1: 0, 2: 0, 3: 0, 4: 0}
+        self._queue_factory = queue_factory or _default_queue_factory
+        self.drops_by_hop: Dict[int, int] = dict.fromkeys(self.hop_names, 0)
         self.drops_total = 0
         self.dropped_packets: List[Packet] = []
         self.keep_dropped = False  # tests can flip this on
@@ -133,76 +141,62 @@ class Fabric:
         # Injected-fault drops (repro.faults) are ledgered separately
         # from the congestion drops above so golden digests and the
         # Fig. 5e/f drop accounting are untouched by fault plans.
-        self.fault_drops_by_hop: Dict[int, int] = {1: 0, 2: 0, 3: 0, 4: 0}
+        self.fault_drops_by_hop: Dict[int, int] = dict.fromkeys(self.hop_names, 0)
         self.fault_drops_total = 0
         self.fault_drops_by_reason: Dict[str, int] = {}
         self.fault_drop_hook: Optional[Callable[[Packet, int], None]] = None
 
-        cfg = config
-        prop = cfg.propagation_delay
-        rack_of = cfg.rack_of
-
-        self.hosts: List[Host] = []
-        self.tors: List[Switch] = []
-        self.cores: List[Switch] = []
-
         # Hosts and their NIC ports (hop 1)
-        for hid in range(cfg.n_hosts):
-            port = Port(
-                env,
-                cfg.access_bps,
-                prop,
-                host_qf(cfg.buffer_bytes),
-                name=f"h{hid}.nic",
-                hop_index=1,
-                on_drop=self._record_drop,
-            )
-            self.hosts.append(Host(hid, rack_of(hid), port))
+        host_qf = host_queue_factory or self._queue_factory
+        self.hosts: List[Host] = []
+        for hid in range(config.n_hosts):
+            port = self._port(f"h{hid}.nic", 1, config.access_bps, host_qf)
+            self.hosts.append(Host(hid, config.rack_of(hid), port))
+        #: Every switch, in port-listing order (see :meth:`all_ports`).
+        self.switches: List[Switch] = self._wire(rng)
 
-        # Core switches
-        for cid in range(cfg.n_cores):
-            self.cores.append(Switch(cid, "core"))
+    def _port(self, name: str, hop: int, rate: float, queue_factory=None) -> Port:
+        qf = queue_factory or self._queue_factory
+        return Port(
+            self.env,
+            rate,
+            self.config.propagation_delay,
+            qf(self.config.buffer_bytes),
+            name=name,
+            hop_index=hop,
+            on_drop=self._record_drop,
+        )
+
+    def _wire(self, rng: SeededRng) -> List[Switch]:
+        """Build the switches and links below the host NICs; return the
+        switches."""
+        cfg = self.config
+        fabric_rng = rng.stream("fabric")
+        self.tors: List[Switch] = []
+        self.cores: List[Switch] = [Switch(cid, "core") for cid in range(cfg.n_cores)]
 
         # ToR switches with down ports (hop 4) and up ports (hop 2)
         for rid in range(cfg.n_racks):
             tor = Switch(rid, "tor")
             down_ports: Dict[int, Port] = {}
             for hid in range(rid * cfg.hosts_per_rack, (rid + 1) * cfg.hosts_per_rack):
-                port = Port(
-                    env,
-                    cfg.access_bps,
-                    prop,
-                    qf(cfg.buffer_bytes),
-                    name=f"tor{rid}.down.h{hid}",
-                    hop_index=4,
-                    on_drop=self._record_drop,
-                )
+                port = self._port(f"tor{rid}.down.h{hid}", 4, cfg.access_bps)
                 port.connect(self.hosts[hid])
                 tor.add_port(port)
                 down_ports[hid] = port
                 self.hosts[hid].port.connect(tor)
             up_ports: List[Port] = []
             for cid in range(cfg.n_cores):
-                port = Port(
-                    env,
-                    cfg.core_bps,
-                    prop,
-                    qf(cfg.buffer_bytes),
-                    name=f"tor{rid}.up.c{cid}",
-                    hop_index=2,
-                    on_drop=self._record_drop,
-                )
+                port = self._port(f"tor{rid}.up.c{cid}", 2, cfg.core_bps)
                 port.connect(self.cores[cid])
                 tor.add_port(port)
                 up_ports.append(port)
             tor.route = make_tor_route(
                 down_ports,
                 up_ports,
-                rack_of,
-                rid,
-                self.rng.stream(f"tor{rid}"),
+                cfg.n_hosts,
+                fabric_rng.stream(f"tor{rid}"),
                 mode=cfg.load_balancing,
-                n_hosts=cfg.n_hosts,
             )
             self.tors.append(tor)
 
@@ -210,19 +204,12 @@ class Fabric:
         for cid, core in enumerate(self.cores):
             rack_ports: List[Port] = []
             for rid in range(cfg.n_racks):
-                port = Port(
-                    env,
-                    cfg.core_bps,
-                    prop,
-                    qf(cfg.buffer_bytes),
-                    name=f"core{cid}.down.tor{rid}",
-                    hop_index=3,
-                    on_drop=self._record_drop,
-                )
+                port = self._port(f"core{cid}.down.tor{rid}", 3, cfg.core_bps)
                 port.connect(self.tors[rid])
                 core.add_port(port)
                 rack_ports.append(port)
-            core.route = make_core_route(rack_ports, rack_of, n_hosts=cfg.n_hosts)
+            core.route = make_core_route(rack_ports, cfg.rack_of, cfg.n_hosts)
+        return self.tors + self.cores
 
     # ------------------------------------------------------------------
     def _record_drop(self, pkt: Packet, hop_index: int) -> None:
@@ -267,15 +254,13 @@ class Fabric:
 
     def base_rtt(self, src: int, dst: int) -> float:
         """Unloaded control-packet round-trip time between two hosts."""
-        one_way = self.one_way_delay(src, dst, HEADER_BYTES)
-        return 2.0 * one_way
+        return 2.0 * self.one_way_delay(src, dst, HEADER_BYTES)
 
     def one_way_delay(self, src: int, dst: int, pkt_bytes: int) -> float:
         """Unloaded delay for one packet of ``pkt_bytes`` src -> dst."""
-        cfg = self.config
         rates = self.path_rates(src, dst)
         bits = pkt_bytes * 8.0
-        return sum(bits / r for r in rates) + cfg.propagation_delay * len(rates)
+        return sum(bits / r for r in rates) + self.config.propagation_delay * len(rates)
 
     def opt_fct(self, size_bytes: int, src: int, dst: int) -> float:
         """Ideal flow completion time on an idle network.
@@ -287,12 +272,9 @@ class Fabric:
         computed under the same forwarding model as the simulator so
         slowdown >= 1 by construction.
         """
-        from repro.net.packet import Flow  # local import to avoid cycle at module load
-
-        flow = Flow(-1, src, dst, size_bytes, 0.0) if src != dst else None
-        if flow is None:
+        if src == dst:
             raise ValueError("src == dst")
-        cfg = self.config
+        flow = Flow(-1, src, dst, size_bytes, 0.0)
         rates = self.path_rates(src, dst)
         access = rates[0]
         total = 0.0
@@ -301,13 +283,14 @@ class Fabric:
         last_wire = flow.wire_bytes_of(flow.n_pkts - 1) * 8.0
         for rate in rates[1:]:
             total += last_wire / rate
-        total += cfg.propagation_delay * len(rates)
+        total += self.config.propagation_delay * len(rates)
         return total
 
     def all_ports(self) -> List[Port]:
-        """Every output port in the fabric (hosts, ToRs, cores)."""
+        """Every output port in the fabric: host NICs, then each
+        switch's ports in :attr:`switches` order."""
         ports: List[Port] = [h.port for h in self.hosts]
-        for switch in list(self.tors) + list(self.cores):
+        for switch in self.switches:
             ports.extend(switch.ports)
         return ports
 
@@ -316,9 +299,8 @@ class Fabric:
 
         Utilization is bytes actually serialized divided by link
         capacity x time, averaged across the ports of each hop class
-        (1 = host NICs, 2 = ToR up, 3 = core, 4 = ToR down).  Useful to
-        confirm §2.3's claim that the sprayed core runs far below the
-        edges.
+        (:attr:`hop_names`).  Useful to confirm §2.3's claim that the
+        sprayed core runs far below the edges.
         """
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -331,10 +313,10 @@ class Fabric:
         return {h: sums[h] / counts[h] for h in sums}
 
     def reset_counters(self) -> None:
-        self.drops_by_hop = {1: 0, 2: 0, 3: 0, 4: 0}
+        self.drops_by_hop = dict.fromkeys(self.hop_names, 0)
         self.drops_total = 0
         self.dropped_packets = []
-        self.fault_drops_by_hop = {1: 0, 2: 0, 3: 0, 4: 0}
+        self.fault_drops_by_hop = dict.fromkeys(self.hop_names, 0)
         self.fault_drops_total = 0
         self.fault_drops_by_reason = {}
         for port in self.all_ports():
@@ -344,8 +326,4 @@ class Fabric:
             port.max_qlen_pkts = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        cfg = self.config
-        return (
-            f"Fabric({cfg.n_hosts} hosts, {cfg.n_racks} racks, "
-            f"{cfg.n_cores} cores, {cfg.access_gbps:g}G/{cfg.core_gbps:g}G)"
-        )
+        return f"{type(self).__name__}({self.config.n_hosts} hosts, {len(self.switches)} switches)"

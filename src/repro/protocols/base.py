@@ -5,7 +5,7 @@ source for the host's outgoing flows and destination for incoming ones
 (the default traffic matrix is all-to-all, so every host does both).
 
 A :class:`ProtocolSpec` tells the experiment runner how to assemble a
-protocol: which queue discipline switches and NICs use, how to build the
+protocol: which dataplane program switches and NICs run, how to build the
 shared context (Fastpass's arbiter), and how to build per-host agents.
 All three factories receive the run's :class:`~repro.sim.context.SimContext`
 (``config_factory(ctx)``, ``shared_factory(ctx)``,
@@ -20,20 +20,9 @@ from typing import Any, Callable, Optional
 
 from repro.net.node import Host
 from repro.net.packet import Flow, Packet
-from repro.net.queues import PFabricQueue, PriorityQueue
 from repro.sim.context import SimContext
 
-__all__ = ["TransportAgent", "ProtocolSpec", "priority_queue_factory", "pfabric_queue_factory"]
-
-
-def priority_queue_factory(capacity_bytes: int) -> PriorityQueue:
-    """Commodity strict-priority queue (pHost, Fastpass)."""
-    return PriorityQueue(capacity_bytes)
-
-
-def pfabric_queue_factory(capacity_bytes: int) -> PFabricQueue:
-    """pFabric's specialized priority-drop queue."""
-    return PFabricQueue(capacity_bytes)
+__all__ = ["TransportAgent", "ProtocolSpec"]
 
 
 class TransportAgent:
@@ -90,7 +79,6 @@ class TransportAgent:
 AgentFactory = Callable[[Host, SimContext], TransportAgent]
 SharedFactory = Callable[[SimContext], Any]
 ConfigFactory = Callable[[SimContext], Any]
-QueueFactory = Callable[[int], Any]
 
 
 @dataclass(frozen=True)
@@ -105,18 +93,14 @@ class ProtocolSpec:
     Switch behaviour is named, not hardcoded: ``switch_dataplane`` /
     ``host_dataplane`` select :class:`repro.dataplane.DataplaneProgram`
     entries from the dataplane registry (the built-ins declare
-    "commodity" or "pfabric"; DCTCP declares "dctcp").  The legacy
-    ``*_queue_factory`` fields remain for external registrants that
-    construct queues directly — when set to a non-None callable they
-    take precedence over the program names, and an
-    ``ExperimentSpec.dataplane`` override trumps both.
+    "commodity" or "pfabric"; DCTCP declares "dctcp").  An
+    ``ExperimentSpec.dataplane`` override replaces both.  Queues reach
+    ports only through these programs.
     """
 
     name: str
     agent_factory: AgentFactory
     config_factory: ConfigFactory
-    switch_queue_factory: Optional[QueueFactory] = None
-    host_queue_factory: Optional[QueueFactory] = None
     shared_factory: Optional[SharedFactory] = None
     switch_dataplane: str = "commodity"
     host_dataplane: str = "commodity"

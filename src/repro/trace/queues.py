@@ -46,11 +46,8 @@ class QueueMonitor:
 
     @classmethod
     def over_fabric(cls, fabric: Fabric, period: float) -> "QueueMonitor":
-        """Monitor every port in the fabric (hosts, ToRs, cores)."""
-        ports: List[Port] = [h.port for h in fabric.hosts]
-        for switch in list(fabric.tors) + list(fabric.cores):
-            ports.extend(switch.ports)
-        return cls(fabric.env, ports, period)
+        """Monitor every port in the fabric (host NICs and switches)."""
+        return cls(fabric.env, fabric.all_ports(), period)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -76,7 +73,7 @@ class QueueMonitor:
 
     # ------------------------------------------------------------------
     def peak_bytes_by_hop(self) -> Dict[int, int]:
-        """Max observed occupancy per hop class (1=NIC .. 4=ToR down)."""
+        """Max observed occupancy per hop class (the fabric's hop index)."""
         peaks: Dict[int, int] = {}
         for s in self.samples:
             if s.bytes_queued > peaks.get(s.hop_index, 0):

@@ -28,18 +28,3 @@ def small_topo() -> TopologyConfig:
 def fabric(env, small_topo, rng) -> Fabric:
     return Fabric(env, small_topo, rng)
 
-
-def make_fabric(env, rng, **kwargs) -> Fabric:
-    """Helper for tests needing custom queue factories or dimensions."""
-    topo_kwargs = {}
-    for key in ("n_racks", "hosts_per_rack", "n_cores", "buffer_bytes",
-                "access_gbps", "core_gbps", "load_balancing"):
-        if key in kwargs:
-            topo_kwargs[key] = kwargs.pop(key)
-    topo = TopologyConfig.small() if not topo_kwargs else TopologyConfig(
-        n_racks=topo_kwargs.pop("n_racks", 3),
-        hosts_per_rack=topo_kwargs.pop("hosts_per_rack", 4),
-        n_cores=topo_kwargs.pop("n_cores", 2),
-        **topo_kwargs,
-    )
-    return Fabric(env, topo, rng, **kwargs)

@@ -21,10 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.runner import build_simulation, run_flow_list
+from repro.experiments.defaults import make_spec
+from repro.experiments.runner import build_simulation, run_experiment, run_flow_list
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import FaultPlan, GilbertElliott, LinkDown
 from repro.faults.models import GilbertElliottLoss
+from repro.faults.plan import parse_fault_plan
+from repro.net.fattree import FatTreeConfig
 from repro.net.packet import Flow
 from repro.net.topology import TopologyConfig
 from repro.sim.randoms import SeededRng
@@ -145,3 +148,44 @@ def test_down_forever_link_never_forwards_again():
     # Down from t=0 with spray exclusion: nothing is even *offered* to
     # the dead link, so the fault ledger stays empty too.
     assert tap.fault_drops == 0
+
+
+def test_fat_tree_edge_uplink_down_from_start_is_routed_around():
+    # The edge switch sprays over its pod's aggregation switches: with
+    # one uplink dead from t=0 nothing is offered to it, exactly as on
+    # the two-tier tree above.
+    spec = make_spec(
+        "phost",
+        "websearch",
+        "tiny",
+        seed=42,
+        topology=FatTreeConfig(k=4),
+        max_flow_bytes=120_000,
+        faults=parse_fault_plan("down=edge0.up.agg0@0"),
+    )
+    result = run_experiment(spec)
+    assert result.completion_rate == 1.0
+    assert result.fault_drops == 0
+
+
+@pytest.mark.parametrize(
+    "topology,patterns",
+    [
+        (TopologyConfig.small(), "h*.nic, tor*.down.h*, tor*.up.c*, core*.down.tor*"),
+        (
+            FatTreeConfig(k=4),
+            "h*.nic, edge*.down.h*, edge*.up.agg*, agg*.down.edge*, "
+            "agg*.up.core*, core*.down.pod*",
+        ),
+    ],
+)
+def test_unknown_link_error_lists_the_built_fabrics_names(topology, patterns):
+    spec = ExperimentSpec(
+        protocol="phost",
+        topology=topology,
+        n_flows=8,
+        faults=FaultPlan(link_downs=(LinkDown("nosuch.up.c0", down_at=0.0),)),
+    )
+    with pytest.raises(ValueError) as err:
+        build_simulation(spec)
+    assert f"(known: {patterns})" in str(err.value)

@@ -30,6 +30,30 @@ def test_drop_stats_math():
     assert names == ["host NIC", "ToR up", "core", "ToR down"]
 
 
+def test_fat_tree_drop_stats_name_all_six_hops():
+    from repro.net.fattree import FatTreeConfig, FatTreeFabric
+    from repro.net.packet import Packet, PacketType
+    from repro.sim.randoms import SeededRng
+
+    fabric = FatTreeFabric(EventLoop(), FatTreeConfig(k=4), SeededRng(1))
+    pkt = Packet(PacketType.DATA, None, 0, 0, 1, 1500)
+    for hop, count in {1: 1, 3: 2, 4: 4, 5: 8, 6: 16}.items():
+        for _ in range(count):
+            fabric._record_drop(pkt, hop)
+    stats = DropStats.from_run(fabric, MetricsCollector())
+    assert stats.rows() == [
+        ("host NIC", 1),
+        ("edge up", 0),
+        ("agg up", 2),
+        ("core", 4),
+        ("agg down", 8),
+        ("edge down", 16),
+    ]
+    assert stats.edge_drops == 17
+    assert stats.fabric_drops == 14
+    assert "agg down=8, edge down=16" in str(stats)
+
+
 def test_drop_rate_zero_when_nothing_sent():
     stats = DropStats(by_hop={}, total_drops=0, pkts_injected=0, pkts_retransmitted=0)
     assert stats.drop_rate == 0.0

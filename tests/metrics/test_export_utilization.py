@@ -97,8 +97,34 @@ def test_utilization_requires_positive_duration(fabric):
         fabric.utilization_by_hop(0.0)
 
 
-def test_reset_counters_clears_port_bytes(fabric):
-    port = fabric.hosts[0].port
-    port.bytes_sent = 999
+@pytest.fixture(params=["two-tier", "fat-tree"])
+def any_fabric(request, env, rng):
+    from repro.net.fattree import FatTreeConfig, FatTreeFabric
+    from repro.net.topology import Fabric
+
+    if request.param == "fat-tree":
+        return FatTreeFabric(env, FatTreeConfig(k=4), rng)
+    return Fabric(env, TopologyConfig.small(), rng)
+
+
+def test_reset_counters_clears_port_bytes(any_fabric):
+    from repro.net.packet import Packet, PacketType
+
+    fabric = any_fabric
+    for port in fabric.all_ports():
+        port.bytes_sent = 999
+        port.pkts_sent = 9
+        port.max_qlen_bytes = 9000
+        port.max_qlen_pkts = 9
+    pkt = Packet(PacketType.DATA, None, 0, 0, 1, 1500)
+    fabric._record_drop(pkt, 2)
+    fabric.record_fault_drop(pkt, 2, "loss")
     fabric.reset_counters()
-    assert port.bytes_sent == 0
+    for port in fabric.all_ports():
+        assert (port.bytes_sent, port.pkts_sent) == (0, 0)
+        assert (port.max_qlen_bytes, port.max_qlen_pkts) == (0, 0)
+    assert fabric.drops_total == 0
+    assert set(fabric.drops_by_hop.values()) == {0}
+    assert fabric.fault_drops_total == 0
+    assert set(fabric.fault_drops_by_hop.values()) == {0}
+    assert fabric.fault_drops_by_reason == {}

@@ -121,7 +121,7 @@ def test_ecmp_pins_flow_to_one_core():
 
 def test_unknown_lb_mode_rejected(rng):
     with pytest.raises(ValueError):
-        make_tor_route({}, [], lambda h: 0, 0, rng, mode="magic")
+        make_tor_route({}, [], 0, rng, mode="magic")
 
 
 def test_switch_without_route_raises(env):

@@ -41,6 +41,25 @@ def test_over_fabric_covers_all_port_classes():
     assert hops == {1, 2, 3, 4}
 
 
+def test_over_fabric_samples_every_fat_tree_port():
+    from repro.net.fattree import FatTreeConfig, FatTreeFabric
+    from repro.net.packet import Packet, PacketType
+    from repro.sim.randoms import SeededRng
+
+    env = EventLoop()
+    fabric = FatTreeFabric(env, FatTreeConfig(k=4), SeededRng(1))
+    monitor = QueueMonitor.over_fabric(fabric, period=1e-6)
+    assert [p.name for p in monitor.ports] == [p.name for p in fabric.all_ports()]
+    assert {p.hop_index for p in monitor.ports} == {1, 2, 3, 4, 5, 6}
+    # Two packets behind a busy transmitter on every port: each one
+    # holds a queue when sampled.
+    for port in monitor.ports:
+        for seq in range(2):
+            port.send(Packet(PacketType.DATA, None, seq, 0, 1, 1500, priority=1))
+    monitor.sample()
+    assert {s.port_name for s in monitor.samples} == {p.name for p in monitor.ports}
+
+
 def test_idle_fabric_produces_no_samples():
     env, fabric, collector, _ = sim()
     monitor = QueueMonitor.over_fabric(fabric, period=1e-6)
