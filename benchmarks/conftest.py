@@ -50,7 +50,7 @@ def figure_scale(request) -> str:
 
 @pytest.fixture
 def regen(benchmark, figure_scale):
-    """Run a figure driver once under the benchmark timer and report it."""
+    """Run a figure once under the benchmark timer and report it."""
 
     def _run(figure_name: str, seed: int = 42) -> FigureResult:
         result = benchmark.pedantic(
@@ -74,7 +74,7 @@ def smoke_regen():
     """Tiny-scale figure regeneration for the smoke tier.
 
     No benchmark timer: the point is a fast end-to-end sanity pass of
-    every figure driver (tables render, rows exist) on each CI push,
+    every figure (tables render, rows exist) on each CI push,
     not performance numbers.  Results land in ``results/smoke/`` so CI
     can upload them as an artifact.
     """

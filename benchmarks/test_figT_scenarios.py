@@ -12,10 +12,12 @@ job metrics only where jobs exist).
 """
 
 import math
+import tempfile
 
 import pytest
 
 from repro.experiments.defaults import make_spec
+from repro.experiments.figures import run_figure
 from repro.experiments.runner import run_experiment
 from repro.faults import ArbiterBlackout, FaultPlan
 from repro.validate import (
@@ -83,6 +85,16 @@ def test_figT_smoke(smoke_regen):
     """Tiny-scale fig-T for the CI figT-smoke tier."""
     result = smoke_regen("figT")
     _assert_adversarial(result)
+
+
+@pytest.mark.smoke
+@pytest.mark.figT
+def test_figT_leaves_no_trace_file(monkeypatch, tmp_path):
+    """The traced scenario's JSONL trace lives in a temporary directory
+    that is removed once figT's runs are done."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    run_figure("figT", scale="tiny", seed=42)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.smoke

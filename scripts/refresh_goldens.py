@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Regenerate the committed golden run digests.
+"""Regenerate the committed golden run digests and figure output pins.
 
 Run after any *intentional* behaviour change (scheduling, drop policy,
 token pacing, RNG consumption) and commit the updated JSON together
@@ -9,7 +9,10 @@ with the change::
 
 The digests are defined in :mod:`tests.validate.test_golden_trace`; this
 script runs the same tiny-scale scenarios, verifies they pass every
-auditor, and rewrites ``tests/validate/golden_digests.json``.
+auditor, and rewrites ``tests/validate/golden_digests.json``.  It then
+reruns every figure at tiny scale (about two minutes) and rewrites
+``tests/experiments/figure_pins.json``
+(:mod:`tests.experiments.test_figure_pins`).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO))
 
+from tests.experiments.test_figure_pins import PINS_PATH, compute_pins  # noqa: E402
 from tests.validate.test_golden_trace import GOLDEN_PATH, compute_goldens  # noqa: E402
 
 
@@ -36,6 +40,8 @@ def main() -> int:
     for name, digest in sorted(digests.items()):
         print(f"{name}: {digest}")
     print(f"wrote {GOLDEN_PATH}")
+    PINS_PATH.write_text(json.dumps(compute_pins(), indent=2) + "\n")
+    print(f"wrote {PINS_PATH}")
     return 0
 
 

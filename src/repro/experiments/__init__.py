@@ -1,5 +1,6 @@
 """Experiment harness (S12): declarative specs, a runner, and one
-driver per figure of the paper's evaluation section.
+table of the paper's evaluation figures run by one driver
+(:mod:`repro.experiments.figures`).
 """
 
 from repro.experiments.spec import ExperimentResult, ExperimentSpec

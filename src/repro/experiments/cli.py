@@ -22,7 +22,7 @@ from typing import List, Optional
 
 from repro.dataplane import available_dataplanes, get_dataplane
 from repro.experiments.defaults import SCALES, make_spec
-from repro.experiments.figures import ALL_FIGURES, run_figure
+from repro.experiments.figures import ALL_FIGURES, run_figure, write_experiments_md
 from repro.experiments.report import FigureResult, render
 from repro.experiments.runner import _resolve_workload, run_experiment, run_flow_list
 from repro.experiments.spec import ExperimentResult, ExperimentSpec
@@ -689,10 +689,14 @@ def _run_size_profile(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    unknown = [name for name in args.figure if name not in ALL_FIGURES]
+    if unknown:
+        return _usage_error(
+            f"unknown figure {unknown[0]!r}; available: {', '.join(ALL_FIGURES)}"
+        )
     if args.list:
-        for name in sorted(ALL_FIGURES):
-            doc = (ALL_FIGURES[name].__doc__ or "").strip().splitlines()[0]
-            print(f"{name:7s} {doc}")
+        for name, figure in ALL_FIGURES.items():
+            print(f"{name:7s} {figure.caption(args.scale)}")
         return 0
     if args.list_protocols:
         return _list_protocols(args)
@@ -705,11 +709,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.replay:
         return _run_replay(args)
     if args.report:
-        from repro.experiments.summary import write_experiments_md
-
-        figures = list(args.figure) or None
         out = write_experiments_md(
-            args.report, scale=args.scale, seed=args.seed, figures=figures
+            args.report, scale=args.scale, seed=args.seed,
+            figures=list(args.figure) or None,
         )
         print(f"wrote {out}")
         return 0
@@ -719,7 +721,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_size_profile(args)
     names = list(args.figure)
     if args.all:
-        names = sorted(ALL_FIGURES)
+        names = list(ALL_FIGURES)
     if not names:
         build_parser().print_help()
         return 2

@@ -1,6 +1,6 @@
 """Plain-text rendering of figure results.
 
-Every figure driver returns a :class:`FigureResult`: a title, column
+Every figure regenerates as a :class:`FigureResult`: a title, column
 names, and rows.  ``render`` produces the aligned ASCII table the
 benchmarks print — the same rows/series the paper's figures plot.
 """

@@ -172,7 +172,7 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
-    """Everything a figure driver needs from one run."""
+    """Everything a figure needs from one run."""
 
     spec: ExperimentSpec
     records: List[FlowRecord]

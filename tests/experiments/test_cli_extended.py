@@ -42,11 +42,16 @@ def test_run_json_reports_the_events_pin_and_golden_digest(capsys):
     ("--replay flows.csv --protocol nosuch", "unknown protocol 'nosuch'"),
     ("--sweep load phost nosuchwl --values 0.5", "unknown workload 'nosuchwl'"),
     ("--size-profile nosuch imc10", "unknown protocol 'nosuch'"),
+    ("--figure fig99", "unknown figure 'fig99'"),
+    ("--report X.md --figure fig99", "unknown figure 'fig99'"),
+    ("--figure fig3 --figure fig99", "unknown figure 'fig99'"),
 ])
-def test_bad_names_are_usage_errors(argv, message, capsys):
+def test_bad_names_are_usage_errors(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(argv.split() + ["--scale", "tiny"]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert out == "" and list(tmp_path.iterdir()) == []  # nothing ran or was written
 
 
 def test_value_error_inside_a_run_still_propagates(monkeypatch):

@@ -1,4 +1,4 @@
-"""Tests for figure drivers, report rendering, and the CLI."""
+"""Tests for the figure table and its driver, report rendering, and the CLI."""
 
 from __future__ import annotations
 
@@ -6,11 +6,18 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.cli import main
+from repro.experiments.figures import run_figure
 from repro.experiments.report import FigureResult, fmt, render
+
+PAPER_ORDER = [
+    "fig2", "fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig5e",
+    "fig5f", "fig6", "fig7", "fig8", "fig9a", "fig9b", "fig9c", "fig9d",
+    "fig10", "fig11", "figR", "figT",
+]
 
 
 def test_fig2_reports_cdf_rows_without_simulation():
-    result = figures.fig2()
+    result = run_figure("fig2")
     assert result.figure == "fig2"
     assert [c for c in result.columns] == ["size_bytes", "websearch", "datamining", "imc10"]
     # CDF values are monotone in size per workload
@@ -22,7 +29,7 @@ def test_fig2_reports_cdf_rows_without_simulation():
 
 def test_fig3_tiny_reproduces_headline_ordering():
     figures.clear_cache()
-    result = figures.fig3(scale="tiny", seed=7)
+    result = run_figure("fig3", scale="tiny", seed=7)
     assert len(result.rows) == 3
     for row in result.rows:
         assert row["phost"] >= 1.0
@@ -34,12 +41,13 @@ def test_fig3_tiny_reproduces_headline_ordering():
     assert im["phost"] < 2.0 * im["pfabric"]
 
 
-def test_fig4_uses_fig3_cache():
+def test_fig4_uses_fig3_cache(monkeypatch):
     figures.clear_cache()
-    figures.fig3(scale="tiny", seed=7)
-    before = len(figures._CACHE)
-    result = figures.fig4(scale="tiny", seed=7)
-    assert len(figures._CACHE) == before  # no new simulations
+    run_figure("fig3", scale="tiny", seed=7)
+    runs = []
+    monkeypatch.setattr(figures, "run_experiment", runs.append)
+    result = run_figure("fig4", scale="tiny", seed=7)
+    assert runs == []  # every cell came from fig3's runs
     assert {row["class"] for row in result.rows} == {"short", "long"}
 
 
@@ -50,12 +58,7 @@ def test_run_figure_by_name_and_unknown():
 
 
 def test_all_figures_registry_complete():
-    expected = {
-        "fig2", "fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig5e",
-        "fig5f", "fig6", "fig7", "fig8", "fig9a", "fig9b", "fig9c", "fig9d",
-        "fig10", "fig11", "figR", "figT",
-    }
-    assert set(figures.ALL_FIGURES) == expected
+    assert list(figures.ALL_FIGURES) == PAPER_ORDER
 
 
 def test_render_produces_aligned_table():
@@ -89,8 +92,11 @@ def test_row_where_raises_for_missing():
 
 def test_cli_list_and_run(capsys):
     assert main(["--list"]) == 0
-    out = capsys.readouterr().out
-    assert "fig3" in out and "fig11" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == PAPER_ORDER
+    # name, then the figure's full title (the bench preset's incast size)
+    assert lines[1] == "fig3    Mean slowdown across workloads (default config)"
+    assert lines[14] == "fig9c   Incast TM: mean FCT (ms), 5MB per request"
 
     assert main(["--run", "phost", "imc10", "--scale", "tiny", "--flows", "40"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,8 @@
-"""Integration smoke of additional figure drivers at tiny scale.
+"""Integration smoke of more figures at tiny scale.
 
-The benchmark suite runs the full drivers at bench scale; these tests
-cover the remaining drivers' code paths quickly so `pytest tests/`
-alone exercises every figure function.
+The benchmark suite runs every figure at bench scale; these tests
+cover more of the table's grid and build paths quickly so
+`pytest tests/` alone exercises them.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import math
 import pytest
 
 from repro.experiments import figures
+from repro.experiments.figures import run_figure
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -21,8 +22,8 @@ def fresh_cache():
 
 
 def test_fig5a_5b_shapes():
-    a = figures.fig5a(scale="tiny", seed=3)
-    b = figures.fig5b(scale="tiny", seed=3)
+    a = run_figure("fig5a", scale="tiny", seed=3)
+    b = run_figure("fig5b", scale="tiny", seed=3)
     for row in a.rows:
         assert all(row[p] >= 1.0 for p in ("phost", "pfabric", "fastpass"))
     for row in b.rows:
@@ -30,21 +31,24 @@ def test_fig5a_5b_shapes():
 
 
 def test_fig5f_accounts_every_protocol():
-    result = figures.fig5f(scale="tiny", seed=3)
+    result = run_figure("fig5f", scale="tiny", seed=3)
     assert {row["protocol"] for row in result.rows} == {"phost", "pfabric", "fastpass"}
     for row in result.rows:
         assert row["injected"] > 0
 
 
-def test_fig9c_and_9d_share_incast_runs():
-    figures.fig9c(scale="tiny", seed=3)
-    cached = len(figures._INCAST_CACHE)
-    figures.fig9d(scale="tiny", seed=3)
-    assert len(figures._INCAST_CACHE) == cached  # 9d reused every run
+def test_fig9c_and_9d_share_incast_runs(monkeypatch):
+    run_figure("fig9c", scale="tiny", seed=3)
+    runs = []
+    monkeypatch.setattr(figures, "run_incast", lambda **call: runs.append(call))
+    monkeypatch.setattr(figures, "run_experiment", runs.append)
+    result = run_figure("fig9d", scale="tiny", seed=3)
+    assert runs == []  # 9d reused every run
+    assert result.rows
 
 
 def test_fig10_runs_buffer_sweep():
-    result = figures.fig10(scale="tiny", seed=3)
+    result = run_figure("fig10", scale="tiny", seed=3)
     assert [row["buffer_bytes"] for row in result.rows] == [
         6_000, 12_000, 18_000, 24_000, 36_000, 72_000,
     ]
@@ -52,7 +56,7 @@ def test_fig10_runs_buffer_sweep():
 
 
 def test_fig6_covers_grid():
-    result = figures.fig6(scale="tiny", seed=3)
+    result = run_figure("fig6", scale="tiny", seed=3)
     assert len(result.rows) == 12  # 3 workloads x 4 loads
     for row in result.rows:
         for p in ("phost", "pfabric", "fastpass"):

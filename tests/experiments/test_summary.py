@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments import figures
 from repro.experiments.cli import main
+from repro.experiments.figures import ALL_FIGURES, write_experiments_md
 from repro.experiments.report import FigureResult
-from repro.experiments.summary import (
-    PAPER_EXPECTATIONS,
-    summarize,
-    write_experiments_md,
-)
 
 
 def test_every_figure_has_a_paper_expectation():
-    assert set(PAPER_EXPECTATIONS) == set(figures.ALL_FIGURES)
+    for name, figure in ALL_FIGURES.items():
+        assert figure.title.strip(), name
+        assert figure.paper.strip(), name
 
 
 def test_summarize_fig3_reports_ratios():
@@ -21,20 +21,20 @@ def test_summarize_fig3_reports_ratios():
         figure="fig3", title="t", columns=["workload", "phost", "pfabric", "fastpass"],
         rows=[{"workload": "imc10", "phost": 1.2, "pfabric": 1.0, "fastpass": 4.8}],
     )
-    summary = summarize(result)
-    assert "pHost/pFabric 1.20x" in summary.measured
-    assert "Fastpass/pHost 4.00x" in summary.measured
-    assert summary.paper == PAPER_EXPECTATIONS["fig3"]
+    measured = ALL_FIGURES["fig3"].summarize(result)
+    assert "pHost/pFabric 1.20x" in measured
+    assert "Fastpass/pHost 4.00x" in measured
 
 
-def test_summarize_handles_nan_and_unknown_figures():
+def test_summarize_handles_nan_and_unknown_figures(tmp_path):
     result = FigureResult(
         figure="fig3", title="t", columns=["workload", "phost", "pfabric", "fastpass"],
         rows=[{"workload": "x", "phost": float("nan"), "pfabric": 0.0, "fastpass": 1.0}],
     )
-    assert "n/a" in summarize(result).measured
-    unknown = FigureResult(figure="figZ", title="t", columns=["a"], rows=[])
-    assert summarize(unknown).measured == "see table"
+    assert "n/a" in ALL_FIGURES["fig3"].summarize(result)
+    with pytest.raises(ValueError, match="unknown figure 'figZ'"):
+        write_experiments_md(tmp_path / "E.md", scale="tiny", figures=["figZ"])
+    assert not (tmp_path / "E.md").exists()
 
 
 def test_write_experiments_md_subset(tmp_path):
