@@ -32,7 +32,6 @@ from repro.protocols import available_protocols, get_protocol
 from repro.protocols.fastpass import FastpassConfig
 from repro.protocols.pfabric import PFabricConfig
 from repro.sim import EventLoop, SeededRng, SimContext
-from repro.trace import PacketTracer, QueueMonitor
 from repro.workloads.trace_io import load_flows, save_flows
 
 __version__ = "1.0.0"
@@ -56,8 +55,6 @@ __all__ = [
     "EventLoop",
     "SeededRng",
     "SimContext",
-    "PacketTracer",
-    "QueueMonitor",
     "load_flows",
     "save_flows",
     "available_protocols",

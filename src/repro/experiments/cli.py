@@ -15,7 +15,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -323,7 +325,15 @@ def _check_names(spec: ExperimentSpec) -> ExperimentSpec:
         get_dataplane(spec.dataplane)
     if spec.trace is None:
         _resolve_workload(spec)
+    else:
+        _check_file(spec.trace)
     return spec
+
+
+def _check_file(path: str) -> None:
+    """A missing input file is a usage error, caught before any run."""
+    if not os.path.isfile(path):
+        raise ValueError(f"no such file: {path}")
 
 
 def _usage_error(message: object) -> int:
@@ -552,29 +562,31 @@ def _run_single(args: argparse.Namespace) -> int:
     return _handle_audit(result.audit, args)
 
 
+def _sweep_value(raw: str) -> object:
+    for parse in (int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
+    return raw
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     field_name, protocol, workload = args.sweep
-    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
+    if field_name not in {f.name for f in dataclasses.fields(ExperimentSpec)}:
+        return _usage_error(f"ExperimentSpec has no field {field_name!r}")
+    values = [_sweep_value(v.strip()) for v in args.values.split(",") if v.strip()]
     table = FigureResult(
         figure=f"sweep:{field_name}",
         title=f"{protocol}/{workload}: sweep over {field_name}",
         columns=[field_name, "mean_slowdown", "p99_slowdown", "drop_rate"],
     )
-    for raw in raw_values:
-        try:
-            value: object = int(raw)
-        except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
-        spec = make_spec(protocol, workload, args.scale, seed=args.seed)
-        try:
-            spec = _check_names(spec.variant(**{field_name: value}))
-        except TypeError:
-            return _usage_error(f"ExperimentSpec has no field {field_name!r}")
-        except ValueError as exc:
-            return _usage_error(exc)
+    base = make_spec(protocol, workload, args.scale, seed=args.seed)
+    try:
+        specs = [_check_names(base.variant(**{field_name: v})) for v in values]
+    except ValueError as exc:
+        return _usage_error(exc)
+    for value, spec in zip(values, specs):
         result = run_experiment(spec)
         table.add_row(
             **{
@@ -607,6 +619,7 @@ def _run_replay(args: argparse.Namespace) -> int:
             faults=_fault_plan(args),
             seed=args.seed,
         ))
+        _check_file(args.replay)
     except ValueError as exc:
         return _usage_error(exc)
     flows = load_flows(args.replay, n_hosts=preset.topology.n_hosts)

@@ -144,8 +144,8 @@ def build_simulation(spec: ExperimentSpec) -> SimContext:
     ctx.shared = proto.build_shared(ctx)
     proto.install_agents(ctx)
     if spec.faults is not None and not spec.faults.is_empty():
-        # Installed before user instruments so auditors chain onto the
-        # fault-drop hook and the retains_packets gate below sees a
+        # Installed before user instruments so telemetry sees
+        # ``ctx.faults`` and the retains_packets gate below sees a
         # corrupting plan.  Empty plans install nothing at all, keeping
         # the run byte-identical to faults=None (golden digests).
         from repro.faults.injector import FaultInjector
@@ -265,8 +265,8 @@ def run_flow_list(
 
     ``spec`` supplies the protocol/topology wiring and run controls; the
     workload fields are ignored.  Pass the context from a prior
-    :func:`build_simulation` call to reuse custom wiring (tracers,
-    monitors); otherwise it is built here.
+    :func:`build_simulation` call to reuse custom wiring; otherwise it
+    is built here.
     """
     wall_start = time.perf_counter()
     if ctx is None:

@@ -68,8 +68,9 @@ class ExperimentSpec:
         time_guard_factor: Multiplier for the derived time guard
             (stability runs use a small factor so unstable runs end
             promptly).
-        instruments: Instrumentation hooks (e.g.
-            :class:`repro.trace.PacketTracer`) bound to the run's
+        instruments: Instrumentation hooks (objects with ``bind(ctx)``,
+            e.g. the :mod:`repro.validate` auditors or a
+            :class:`repro.obs.ChromeTraceSink`) bound to the run's
             :class:`~repro.sim.context.SimContext` by
             ``build_simulation`` — no hand-wiring needed.  In-process
             runs only: parallel workers cannot ship hook state back.
@@ -139,8 +140,12 @@ class ExperimentSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.load, (int, float)):
+            raise ValueError(f"load must be a number, got {self.load!r}")
         if self.load <= 0:
             raise ValueError("load must be positive")
+        if not isinstance(self.n_flows, int):
+            raise ValueError(f"n_flows must be an integer, got {self.n_flows!r}")
         if self.n_flows < 1:
             raise ValueError("n_flows must be >= 1")
         if self.traffic_matrix not in ("all_to_all", "permutation", "skewed"):

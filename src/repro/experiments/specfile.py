@@ -58,6 +58,8 @@ def load_spec_file(path: Union[str, Path]) -> List[Tuple[str, ExperimentSpec]]:
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
+    except OSError as exc:
+        raise SpecFileError(f"{path}: cannot read ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "experiments" not in payload:

@@ -31,7 +31,6 @@ from repro.metrics.throughput import per_host_goodput_gbps
 from repro.metrics.drops import DropStats
 from repro.metrics.stability import StabilitySample, StabilityTracker
 from repro.metrics.export import load_records, result_to_json, save_records
-from repro.metrics.timeseries import ThroughputSeries, Window
 
 __all__ = [
     "FlowRecord",
@@ -55,6 +54,4 @@ __all__ = [
     "save_records",
     "load_records",
     "result_to_json",
-    "ThroughputSeries",
-    "Window",
 ]

@@ -50,15 +50,15 @@ class MetricsCollector:
         self.last_completion: Optional[float] = None
         # Optional hook fired on each completion (incast driver uses it)
         self.on_complete: Optional[Callable[[Flow, float], None]] = None
-        # Event observers (see repro.trace / repro.validate / repro.obs);
-        # each must expose flow_arrived/flow_completed/data_sent/
-        # data_delivered/control_sent.  ``add_observer`` is the
-        # attachment point — observers stack, so a tracer, the auditors
-        # and telemetry sinks coexist on one run.
+        # Event observers (see repro.validate / repro.obs); each must
+        # expose flow_arrived/flow_completed/data_sent/data_delivered/
+        # data_duplicate/control_sent.  ``add_observer`` is the
+        # attachment point — observers stack, so the auditors and a
+        # Chrome trace sink coexist on one run.
         self._observers: List = []
 
     def add_observer(self, observer) -> None:
-        """Register an event observer (tracers, auditors, sinks stack)."""
+        """Register an event observer (auditors and sinks stack)."""
         self._observers.append(observer)
 
     # ------------------------------------------------------------------

@@ -136,7 +136,9 @@ class Fabric:
         self.drops_total = 0
         self.dropped_packets: List[Packet] = []
         self.keep_dropped = False  # tests can flip this on
-        self.drop_hook: Optional[Callable[[Packet, int], None]] = None
+        #: Called as ``hook(pkt, hop_index)`` on every congestion drop,
+        #: in attach order; instruments subscribe by appending.
+        self.drop_hooks: List[Callable[[Packet, int], None]] = []
         self.pool = None  # PacketPool, set by the runner when pooling is on
         # Injected-fault drops (repro.faults) are ledgered separately
         # from the congestion drops above so golden digests and the
@@ -144,7 +146,7 @@ class Fabric:
         self.fault_drops_by_hop: Dict[int, int] = dict.fromkeys(self.hop_names, 0)
         self.fault_drops_total = 0
         self.fault_drops_by_reason: Dict[str, int] = {}
-        self.fault_drop_hook: Optional[Callable[[Packet, int], None]] = None
+        self.fault_drop_hooks: List[Callable[[Packet, int], None]] = []
 
         # Hosts and their NIC ports (hop 1)
         host_qf = host_queue_factory or self._queue_factory
@@ -217,8 +219,8 @@ class Fabric:
         self.drops_total += 1
         if self.keep_dropped:
             self.dropped_packets.append(pkt)
-        if self.drop_hook is not None:
-            self.drop_hook(pkt, hop_index)
+        for hook in self.drop_hooks:
+            hook(pkt, hop_index)
         # A drop is a packet's end of life, like delivery: once the
         # hooks have seen it nothing refers to it, unless we keep it.
         if self.pool is not None and not self.keep_dropped:
@@ -229,8 +231,8 @@ class Fabric:
         self.fault_drops_by_hop[hop_index] = self.fault_drops_by_hop.get(hop_index, 0) + 1
         self.fault_drops_total += 1
         self.fault_drops_by_reason[reason] = self.fault_drops_by_reason.get(reason, 0) + 1
-        if self.fault_drop_hook is not None:
-            self.fault_drop_hook(pkt, hop_index)
+        for hook in self.fault_drop_hooks:
+            hook(pkt, hop_index)
         if self.pool is not None:
             self.pool.release(pkt)
 

@@ -1,16 +1,19 @@
 """repro.obs — run-wide observability for the simulator.
 
-The division of labor among the three instrumentation packages:
+The division of labor between the two instrumentation packages:
 
 * ``repro.validate`` answers *"is the simulation correct?"* — invariant
   auditors that must never change results;
-* ``repro.trace`` answers *"what happened to this packet/flow?"* —
-  a bounded ring buffer of discrete events for debugging;
 * ``repro.obs`` (this package) answers *"what is the run doing, and how
-  fast?"* — continuous signals: an instrument registry every component
-  can publish to, periodic samplers producing time series, an
-  event-loop profiler, and exporters (JSONL, Chrome trace, text
-  summaries).
+  fast?"* — an instrument registry every component can publish to,
+  periodic samplers producing time series (per-port queue depth by
+  hop, active flows, ...), an event-loop profiler, and exporters
+  (JSONL, text summaries, and a Chrome trace with one span per flow
+  and an instant per drop, RTS and retransmission).
+
+Both subscribe to a run the same way: a hook's ``bind(ctx)`` calls
+``ctx.collector.add_observer`` and appends to ``ctx.fabric.drop_hooks``
+/ ``fault_drop_hooks``.
 
 Entry points: put an :class:`ObservabilityConfig` on
 ``ExperimentSpec.observability`` (or pass ``--obs`` flags on the CLI)

@@ -1,13 +1,15 @@
 """Chrome ``trace_event`` export.
 
-A :class:`ChromeTraceSink` listens to the run (collector observer plus a
-chained fabric drop hook, the same seam :class:`repro.trace.PacketTracer`
-uses) and accumulates Chrome trace-event dicts:
+A :class:`ChromeTraceSink` listens to the run (a collector observer
+subscribed to the fabric's congestion and injected-fault drop lists, the
+same seams the :mod:`repro.validate` auditors use) and accumulates
+Chrome trace-event dicts:
 
 * one ``"X"`` *complete* span per flow (arrival → completion; unfinished
   flows are closed at finalize time), grouped under pid 1 with one
   thread row per source host;
-* ``"i"`` *instant* events for drops (by hop), RTS control packets, and
+* ``"i"`` *instant* events for drops (``drop hop{N}`` for congestion,
+  ``fault drop hop{N}`` for injected faults), RTS control packets, and
   retransmissions, grouped under pid 2 with one thread row per category;
 * ``"M"`` *metadata* events naming the process/thread rows.
 
@@ -65,20 +67,20 @@ class ChromeTraceSink:
         self.events: List[dict] = []
         self._open_flows: Dict[int, Tuple[Flow, float]] = {}
         self._env = None
-        self._chained_drop_hook = None
         self._seen_src_tids: set = set()
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def bind(self, ctx) -> "ChromeTraceSink":
-        """Attach to a run: stack on the collector and tap fabric drops."""
+        """Attach to a run: stack on the collector and subscribe to both
+        of the fabric's drop lists."""
         if self._env is not None:
             raise RuntimeError("ChromeTraceSink is already attached to a run")
         self._env = ctx.env
         ctx.collector.add_observer(self)
-        self._chained_drop_hook = ctx.fabric.drop_hook
-        ctx.fabric.drop_hook = self._on_drop
+        ctx.fabric.drop_hooks.append(self._on_drop)
+        ctx.fabric.fault_drop_hooks.append(self._on_fault_drop)
         self._metadata(_PID_FLOWS, None, "process_name", "flows")
         self._metadata(_PID_FABRIC, None, "process_name", "fabric")
         self._metadata(_PID_FABRIC, _TID_DROPS, "thread_name", "drops")
@@ -136,15 +138,10 @@ class ChromeTraceSink:
             )
 
     def _on_drop(self, pkt: Packet, hop_index: int) -> None:
-        self._instant(
-            f"drop hop{hop_index}",
-            _TID_DROPS,
-            fid=pkt.flow.fid if pkt.flow is not None else None,
-            seq=pkt.seq,
-            hop=hop_index,
-        )
-        if self._chained_drop_hook is not None:
-            self._chained_drop_hook(pkt, hop_index)
+        self._drop_instant(f"drop hop{hop_index}", pkt, hop_index)
+
+    def _on_fault_drop(self, pkt: Packet, hop_index: int) -> None:
+        self._drop_instant(f"fault drop hop{hop_index}", pkt, hop_index)
 
     # ------------------------------------------------------------------
     # Event construction
@@ -167,6 +164,15 @@ class ChromeTraceSink:
                     "finished": finished,
                 },
             }
+        )
+
+    def _drop_instant(self, name: str, pkt: Packet, hop_index: int) -> None:
+        self._instant(
+            name,
+            _TID_DROPS,
+            fid=pkt.flow.fid if pkt.flow is not None else None,
+            seq=pkt.seq,
+            hop=hop_index,
         )
 
     def _instant(self, name: str, tid: int, **args) -> None:

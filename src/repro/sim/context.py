@@ -12,8 +12,9 @@ spine that
   :class:`repro.protocols.base.ProtocolSpec`);
 * every :class:`~repro.protocols.base.TransportAgent` stores as
   ``self.ctx``;
-* instrumentation hooks (e.g. :class:`repro.trace.PacketTracer`) bind
-  to, instead of being hand-wired to a (collector, fabric) pair.
+* instrumentation hooks (auditors, :class:`repro.obs.Telemetry`, a
+  :class:`repro.obs.ChromeTraceSink`) bind to via ``bind(ctx)``,
+  instead of being hand-wired to a (collector, fabric) pair.
 
 Future capabilities (observability hooks, fault injection, batched or
 parallel execution) extend this one object instead of widening five
@@ -115,15 +116,18 @@ class SimContext:
     def add_hook(self, hook: Any) -> Any:
         """Bind an instrumentation hook to this run and track it.
 
-        A hook exposing ``bind(ctx)`` is bound that way (the preferred
-        interface); otherwise a legacy ``attach(collector, fabric)``
-        signature is used.  Returns the hook for chaining.
+        A hook is any object with ``bind(ctx)``; it subscribes to what
+        it watches (``collector.add_observer``, ``fabric.drop_hooks``,
+        ...).  Returns the hook for chaining.  Hooks arrive from
+        ``ExperimentSpec.instruments``, which is user input, so one
+        without ``bind`` raises :class:`TypeError` naming it.
         """
         bind = getattr(hook, "bind", None)
-        if bind is not None:
-            bind(self)
-        else:
-            hook.attach(self.collector, self.fabric)
+        if not callable(bind):
+            raise TypeError(
+                f"instrumentation hook {hook!r} has no bind(ctx) method"
+            )
+        bind(self)
         self.hooks.append(hook)
         return hook
 

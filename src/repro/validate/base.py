@@ -90,7 +90,8 @@ class Auditor:
     they need, and optionally :meth:`finalize` for end-of-run ledger
     reconciliation.  The base class handles hook wiring: binding to the
     context registers the auditor as a collector observer, and
-    :meth:`_tap_drops` chains it onto the fabric's drop hook.
+    :meth:`_tap_drops` / :meth:`_tap_fault_drops` subscribe it to the
+    fabric's drop lists.
     """
 
     name = "auditor"
@@ -99,8 +100,6 @@ class Auditor:
         self.ctx = None
         self.checks: Dict[str, InvariantCheck] = {}
         self._order: List[Violation] = []  # all violations, in event order
-        self._chained_drop_hook = None
-        self._chained_fault_hook = None
         #: Free-form end-of-run facts (not violations) the auditor wants
         #: to surface — e.g. queue high-water marks.  Filled by
         #: :meth:`finalize`; aggregated into ``AuditReport.context``.
@@ -116,29 +115,14 @@ class Auditor:
         return self
 
     def _tap_drops(self) -> None:
-        """Chain onto the fabric drop hook (preserving any prior hook)."""
-        fabric = self.ctx.fabric
-        self._chained_drop_hook = fabric.drop_hook
-        fabric.drop_hook = self._on_drop_hook
-
-    def _on_drop_hook(self, pkt, hop_index: int) -> None:
-        self.on_drop(pkt, hop_index)
-        if self._chained_drop_hook is not None:
-            self._chained_drop_hook(pkt, hop_index)
+        """Subscribe :meth:`on_drop` to the fabric's congestion drops."""
+        self.ctx.fabric.drop_hooks.append(self.on_drop)
 
     def _tap_fault_drops(self) -> None:
-        """Chain onto the fabric's injected-fault drop hook (see
-        :meth:`repro.net.topology.Fabric.record_fault_drop`) so the
-        auditor can ledger fault-layer drops separately from
-        congestion drops."""
-        fabric = self.ctx.fabric
-        self._chained_fault_hook = getattr(fabric, "fault_drop_hook", None)
-        fabric.fault_drop_hook = self._on_fault_drop_hook
-
-    def _on_fault_drop_hook(self, pkt, hop_index: int) -> None:
-        self.on_fault_drop(pkt, hop_index)
-        if self._chained_fault_hook is not None:
-            self._chained_fault_hook(pkt, hop_index)
+        """Subscribe :meth:`on_fault_drop` to the fabric's injected-fault
+        drops (see :meth:`repro.net.topology.Fabric.record_fault_drop`),
+        ledgered separately from congestion drops."""
+        self.ctx.fabric.fault_drop_hooks.append(self.on_fault_drop)
 
     # ------------------------------------------------------------------
     # Invariant bookkeeping

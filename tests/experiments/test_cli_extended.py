@@ -45,6 +45,11 @@ def test_run_json_reports_the_events_pin_and_golden_digest(capsys):
     ("--figure fig99", "unknown figure 'fig99'"),
     ("--report X.md --figure fig99", "unknown figure 'fig99'"),
     ("--figure fig3 --figure fig99", "unknown figure 'fig99'"),
+    ("--replay /nonexistent.csv", "no such file: /nonexistent.csv"),
+    ("--run phost websearch --trace /nonexistent.csv", "no such file: /nonexistent.csv"),
+    ("--batch /nonexistent.json", "/nonexistent.json: cannot read"),
+    ("--sweep load phost websearch --values abc", "load must be a number, got 'abc'"),
+    ("--sweep n_flows phost websearch --values 1.5", "n_flows must be an integer, got 1.5"),
 ])
 def test_bad_names_are_usage_errors(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

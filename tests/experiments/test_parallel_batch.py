@@ -74,6 +74,10 @@ def test_spec_file_parsing(tmp_path):
         ]},                                                     # dup names
         {"experiments": [{"name": "a", "protocol": "phost",
                           "workload": "imc10", "warp": 9}]},    # bad field
+        {"experiments": [{"protocol": "phost", "workload": "imc10",
+                          "load": "high"}]},                    # non-numeric load
+        {"experiments": [{"protocol": "phost", "workload": "imc10",
+                          "n_flows": 1.5}]},                    # fractional n_flows
     ],
 )
 def test_spec_file_validation_errors(tmp_path, payload):

@@ -111,12 +111,16 @@ def test_drop_accounting_by_hop():
 
 
 def test_drop_hook_invoked():
+    # Subscribers to each drop list are called in attach order.
     env, fabric = build()
     seen = []
-    fabric.drop_hook = lambda pkt, hop: seen.append(hop)
+    fabric.drop_hooks.append(lambda pkt, hop: seen.append(("a", hop)))
+    fabric.drop_hooks.append(lambda pkt, hop: seen.append(("b", hop)))
+    fabric.fault_drop_hooks.append(lambda pkt, hop: seen.append(("fault", hop)))
     pkt = Packet(PacketType.DATA, None, 0, 0, 1, 1500)
     fabric._record_drop(pkt, 2)
-    assert seen == [2]
+    fabric.record_fault_drop(pkt, 3)
+    assert seen == [("a", 2), ("b", 2), ("fault", 3)]
 
 
 def test_base_rtt_positive_and_symmetric():

@@ -8,7 +8,9 @@ import pytest
 
 from repro.experiments.defaults import SCALES, make_spec
 from repro.experiments.runner import run_experiment
+from repro.faults import parse_fault_plan
 from repro.obs import ObservabilityConfig, validate_chrome_trace
+from repro.validate import standard_auditors
 
 
 def run_with_trace(tmp_path):
@@ -57,6 +59,27 @@ def test_metadata_names_processes(tmp_path):
     meta = [e for e in events if e["ph"] == "M"]
     names = {e["args"]["name"] for e in meta if e["name"] == "process_name"}
     assert names == {"flows", "fabric"}
+
+
+def test_injected_fault_drops_are_traced(tmp_path):
+    # A lossy, audited pFabric run: the sink and the auditors share
+    # both drop lists, and every drop of either kind is one instant.
+    trace_path = str(tmp_path / "trace.json")
+    spec = make_spec("pfabric", "websearch", "tiny", seed=42).variant(
+        instruments=standard_auditors(),
+        faults=parse_fault_plan("loss=0.01", seed=7),
+        observability=ObservabilityConfig(sample_period=None, chrome_trace=trace_path),
+    )
+    result = run_experiment(spec)
+    assert result.audit.ok
+    assert result.fault_drops > 0 and result.drops.total_drops > 0
+    instants = [e for e in validate_chrome_trace(trace_path) if e["ph"] == "i"]
+    drops = [e for e in instants if e["name"].startswith("drop hop")]
+    fault_drops = [e for e in instants if e["name"].startswith("fault drop hop")]
+    assert len(drops) == result.drops.total_drops
+    assert len(fault_drops) == result.fault_drops
+    for e in fault_drops:
+        assert e["name"] == f"fault drop hop{e['args']['hop']}"
 
 
 def test_validator_rejects_bad_files(tmp_path):

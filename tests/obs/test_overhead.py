@@ -7,6 +7,8 @@ Two contracts from the issue:
   registry is pull-based, so registering gauges consumes no randomness
   and schedules no events.
 * Wall-clock cost of the dormant registry stays under 5% on a tiny run.
+  Timing is noisy, so a deterministic companion pins the reason it is
+  cheap: with no sampler, no gauge function is ever evaluated.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 
 from repro.experiments.defaults import make_spec
 from repro.experiments.runner import run_experiment
-from repro.obs import ObservabilityConfig
+from repro.obs import InstrumentRegistry, ObservabilityConfig
 from repro.validate import run_digest
 
 # Registry on, every sink off: no sampler, no profiler, no trace file.
@@ -41,6 +43,26 @@ def test_sampling_does_not_move_the_digest():
     sampled = _instrumented(ObservabilityConfig(sample_period=50e-6))
     assert run_digest(sampled) == run_digest(_bare())
     assert sampled.telemetry.samples_taken >= 2
+
+
+def test_dormant_registry_never_evaluates_a_gauge(monkeypatch):
+    registered, evaluated = [], []
+    register = InstrumentRegistry.gauge
+
+    def counting_gauge(self, name, fn, **labels):
+        def counted():
+            evaluated.append(name)
+            return fn()
+
+        registered.append(name)
+        return register(self, name, counted, **labels)
+
+    monkeypatch.setattr(InstrumentRegistry, "gauge", counting_gauge)
+    result = _instrumented()
+    assert result.n_completed == result.n_flows
+    # Collector, per-port, per-link, per-hop and protocol gauges.
+    assert {"flows.active", "port.qlen_bytes", "link.util", "fabric.drops"} <= set(registered)
+    assert evaluated == []
 
 
 def test_dormant_registry_wall_clock_overhead_under_5_percent():

@@ -13,9 +13,9 @@ from repro.experiments.runner import build_simulation, run_flow_list
 from repro.experiments.spec import ExperimentSpec
 from repro.net.packet import Flow
 from repro.net.topology import TopologyConfig
+from repro.obs import ChromeTraceSink
 from repro.protocols.registry import get_protocol
 from repro.sim import EventLoop, SeededRng, SimContext
-from repro.trace import PacketTracer, TraceKind
 
 ALL_PROTOCOLS = ["phost", "pfabric", "fastpass", "ideal"]
 
@@ -72,15 +72,15 @@ def test_context_wiring_completes_a_flow(protocol):
 
 
 def test_instruments_bind_through_the_spec():
-    tracer = PacketTracer()
-    spec = tiny_spec("phost", instruments=[tracer])  # list normalizes to tuple
-    assert spec.instruments == (tracer,)
+    sink = ChromeTraceSink()
+    spec = tiny_spec("phost", instruments=[sink])  # list normalizes to tuple
+    assert spec.instruments == (sink,)
     ctx = build_simulation(spec)
-    assert ctx.hooks == [tracer]
-    assert ctx.hooks_of_type(PacketTracer) == [tracer]
+    assert ctx.hooks == [sink]
+    assert ctx.hooks_of_type(ChromeTraceSink) == [sink]
     result = run_flow_list(spec, [Flow(1, 0, 5, 2 * 1460, 0.0)], ctx)
     assert result.n_completed == 1
-    assert len(tracer.of_kind(TraceKind.FLOW_COMPLETED)) == 1
+    assert [e["args"]["fid"] for e in sink.events if e["ph"] == "X"] == [1]
 
 
 def test_add_hook_prefers_bind_over_attach():
@@ -92,18 +92,21 @@ def test_add_hook_prefers_bind_over_attach():
             self.bound_to = ctx
 
     class AttachHook:
-        def __init__(self):
-            self.attached = None
+        """The retired attach(collector, fabric) shape: not a hook."""
 
         def attach(self, collector, fabric):
-            self.attached = (collector, fabric)
+            raise AssertionError("attach must not be called")
 
     ctx = build_simulation(tiny_spec("phost"))
     bind_hook = ctx.add_hook(BindHook())
-    attach_hook = ctx.add_hook(AttachHook())
     assert bind_hook.bound_to is ctx
-    assert attach_hook.attached == (ctx.collector, ctx.fabric)
-    assert ctx.hooks == [bind_hook, attach_hook]
+    with pytest.raises(TypeError, match="AttachHook.*has no bind"):
+        ctx.add_hook(AttachHook())
+    assert ctx.hooks == [bind_hook]
+    # Hooks are user input (spec.instruments): the error surfaces at
+    # build time, naming the offender.
+    with pytest.raises(TypeError, match="has no bind"):
+        build_simulation(tiny_spec("phost", instruments=("not a hook",)))
 
 
 def test_context_now_tracks_the_clock():

@@ -1,4 +1,10 @@
-"""Tests for the packet tracer."""
+"""Per-flow and per-drop tracing of a run through `ChromeTraceSink`.
+
+The sink is an ordinary instrumentation hook: it rides
+``ExperimentSpec.instruments``, stacks on the collector's observer list
+and subscribes to the fabric's drop lists, so several sinks (and the
+auditors) watch one run side by side.
+"""
 
 from __future__ import annotations
 
@@ -8,118 +14,96 @@ from repro.experiments.runner import build_simulation
 from repro.experiments.spec import ExperimentSpec
 from repro.net.packet import Flow
 from repro.net.topology import TopologyConfig
-from repro.trace import PacketTracer, TraceKind
+from repro.obs import ChromeTraceSink
 
 
-def traced_sim(**tracer_kwargs):
-    # Tracers ride ExperimentSpec.instruments; build_simulation binds
+def traced_sim():
+    # Sinks ride ExperimentSpec.instruments; build_simulation binds
     # them to the run's SimContext (no hand-wiring).
-    tracer = PacketTracer(**tracer_kwargs)
+    sink = ChromeTraceSink()
     spec = ExperimentSpec(
         protocol="phost",
         workload="fixed:1460",
         n_flows=1,
         topology=TopologyConfig.small(),
-        instruments=(tracer,),
+        instruments=(sink,),
         seed=1,
     )
     ctx = build_simulation(spec)
-    assert ctx.hooks == [tracer]
-    return ctx.env, ctx.fabric, ctx.collector, tracer
+    assert ctx.hooks == [sink]
+    return ctx, sink
 
 
-def run_flow(env, fabric, collector, flow):
-    collector.expected_flows = (collector.expected_flows or 0) + 1
-    env.schedule_at(flow.arrival, fabric.hosts[flow.src].agent.start_flow, flow)
+def run_flow(ctx, flow):
+    ctx.collector.expected_flows = (ctx.collector.expected_flows or 0) + 1
+    ctx.env.schedule_at(flow.arrival, ctx.fabric.hosts[flow.src].agent.start_flow, flow)
+
+
+def of_phase(sink, ph):
+    return [e for e in sink.events if e["ph"] == ph]
+
+
+def drop_instants(sink):
+    return [e for e in of_phase(sink, "i") if e["name"].startswith(("drop", "fault drop"))]
 
 
 def test_full_flow_lifecycle_is_traced():
-    env, fabric, collector, tracer = traced_sim()
+    ctx, sink = traced_sim()
     flow = Flow(1, 0, 5, 3 * 1460, 0.0)
-    run_flow(env, fabric, collector, flow)
-    env.run(until=0.01)
-    kinds = [e.kind for e in tracer.events]
-    assert kinds[0] == TraceKind.FLOW_ARRIVED
-    assert kinds[-1] in (TraceKind.FLOW_COMPLETED, TraceKind.CONTROL_SENT)
-    assert len(tracer.of_kind(TraceKind.DATA_SENT)) == 3
-    assert len(tracer.of_kind(TraceKind.DATA_DELIVERED)) == 3
-    # RTS out, ACK back at minimum
-    assert len(tracer.of_kind(TraceKind.CONTROL_SENT)) >= 2
-    assert len(tracer.of_kind(TraceKind.FLOW_COMPLETED)) == 1
+    run_flow(ctx, flow)
+    ctx.env.run(until=0.01)
+    assert flow.completed
+    (span,) = of_phase(sink, "X")  # one span per completed flow
+    assert span["name"] == "flow 1"
+    assert span["args"] == {
+        "fid": 1, "src": 0, "dst": 5, "bytes": 3 * 1460, "finished": True,
+    }
+    assert span["ts"] == 0.0
+    assert span["dur"] == pytest.approx(flow.finish * 1e6)
+    rts = [e for e in of_phase(sink, "i") if e["name"] == "rts"]
+    assert [e["args"] for e in rts] == [{"fid": 1, "src": 0, "dst": 5}]
+    assert not drop_instants(sink)
 
 
 def test_events_are_time_ordered():
-    env, fabric, collector, tracer = traced_sim()
+    ctx, sink = traced_sim()
     for i in range(5):
-        run_flow(env, fabric, collector, Flow(i, i, (i + 2) % 12, 1460 * 4, i * 1e-6))
-    env.run(until=0.01)
-    times = [e.time for e in tracer.events]
-    assert times == sorted(times)
-
-
-def test_fid_filter_restricts_events():
-    env, fabric, collector, tracer = traced_sim(fids={7})
-    run_flow(env, fabric, collector, Flow(7, 0, 5, 1460 * 2, 0.0))
-    run_flow(env, fabric, collector, Flow(8, 1, 6, 1460 * 2, 0.0))
-    env.run(until=0.01)
-    assert all(e.fid == 7 for e in tracer.events)
-    assert tracer.dropped_by_filter > 0
-
-
-def test_kind_filter():
-    env, fabric, collector, tracer = traced_sim(kinds={TraceKind.DATA_DELIVERED})
-    run_flow(env, fabric, collector, Flow(1, 0, 5, 1460 * 3, 0.0))
-    env.run(until=0.01)
-    assert {e.kind for e in tracer.events} == {TraceKind.DATA_DELIVERED}
-
-
-def test_ring_buffer_caps_memory():
-    env, fabric, collector, tracer = traced_sim(capacity=10)
-    run_flow(env, fabric, collector, Flow(1, 0, 5, 1460 * 40, 0.0))
-    env.run(until=0.01)
-    assert len(tracer) == 10
-
-
-def test_timeline_is_readable():
-    env, fabric, collector, tracer = traced_sim()
-    run_flow(env, fabric, collector, Flow(3, 0, 5, 1460, 0.0))
-    env.run(until=0.01)
-    text = tracer.timeline(3)
-    assert "--- flow 3" in text
-    assert "flow_arrived" in text
-    assert "data_delivered" in text
+        run_flow(ctx, Flow(i, i, (i + 2) % 12, 1460 * 4, i * 1e-6))
+    ctx.env.run(until=0.01)
+    instants = [e["ts"] for e in of_phase(sink, "i")]
+    assert len(instants) >= 5 and instants == sorted(instants)
+    # Spans are emitted at completion, so their end times are ordered.
+    ends = [e["ts"] + e["dur"] for e in of_phase(sink, "X")]
+    assert len(ends) == 5 and ends == sorted(ends)
 
 
 def test_drop_events_capture_hop():
-    env, fabric, collector, tracer = traced_sim()
+    ctx, sink = traced_sim()
     # blast one receiver from many senders to force last-hop drops
-    fid = 0
-    for sender in range(1, 12):
-        run_flow(env, fabric, collector, Flow(fid, sender, 0, 1460 * 8, 0.0))
-        fid += 1
-    env.run(until=0.05)
-    drops = tracer.of_kind(TraceKind.PACKET_DROPPED)
-    if drops:  # free-token burst collisions usually produce a few
-        assert all(e.detail.startswith("hop") for e in drops)
+    for fid, sender in enumerate(range(1, 12)):
+        run_flow(ctx, Flow(fid, sender, 0, 1460 * 8, 0.0))
+    ctx.env.run(until=0.05)
+    drops = drop_instants(sink)
+    assert ctx.fabric.drops_total > 0
+    assert len(drops) == ctx.fabric.drops_total
+    for e in drops:
+        assert e["name"] == f"drop hop{e['args']['hop']}"
+        assert e["args"]["hop"] in ctx.fabric.hop_names
 
 
 def test_observers_stack():
-    # Observers are additive: a second tracer coexists with the first
+    # Observers are additive: a second sink coexists with the first
     # and both see the same events.
-    env, fabric, collector, tracer = traced_sim()
-    second = PacketTracer().attach(collector, fabric)
-    run_flow(env, fabric, collector, Flow(1, 0, 1, 3000, 0.0))
-    env.run(until=0.05)
-    assert len(tracer) > 0
-    assert len(second) == len(tracer)
+    ctx, sink = traced_sim()
+    second = ChromeTraceSink().bind(ctx)
+    for fid, sender in enumerate(range(1, 12)):
+        run_flow(ctx, Flow(fid, sender, 0, 1460 * 8, 0.0))
+    ctx.env.run(until=0.05)
+    assert drop_instants(sink) and of_phase(sink, "X")
+    assert second.events == sink.events
 
 
 def test_same_tracer_double_attach_rejected():
-    env, fabric, collector, tracer = traced_sim()
+    ctx, sink = traced_sim()
     with pytest.raises(RuntimeError):
-        tracer.attach(collector, fabric)
-
-
-def test_capacity_validation():
-    with pytest.raises(ValueError):
-        PacketTracer(capacity=0)
+        sink.bind(ctx)
