@@ -89,7 +89,9 @@ class PriorityQueue:
             raise ValueError("need at least one priority band")
         self.capacity_bytes = capacity_bytes
         self._n_bands = n_bands
-        self.bands: List[Deque[Packet]] = [deque() for _ in range(n_bands)]
+        # A band's deque is made on its first push: most ports only
+        # ever see two or three of their bands.
+        self.bands: List[Optional[Deque[Packet]]] = [None] * n_bands
         self.bytes_queued = 0
         # Maintained packet count: ports read queue occupancy on every
         # send for the high-water marks, so len() must not be O(bands).
@@ -114,7 +116,10 @@ class PriorityQueue:
             band = 0
         elif band >= self._n_bands:
             band = self._n_bands - 1
-        self.bands[band].append(pkt)
+        queue = self.bands[band]
+        if queue is None:
+            queue = self.bands[band] = deque()
+        queue.append(pkt)
         if band < self._lo:
             self._lo = band
         self.bytes_queued += pkt.size

@@ -155,15 +155,17 @@ def _register_link_util(
     # Utilization over the window since the previous snapshot: delta of
     # bytes serialized divided by what the link could have carried.  The
     # closure keeps its own (bytes, time) anchor, so the first reading
-    # covers start-of-run -> first sample.
-    prev = {"bytes": port.bytes_sent, "t": ctx.env.now}
+    # covers start-of-run -> first sample.  The packet on the wire counts
+    # by the part already serialized: crediting it whole to the window
+    # its last bit falls in would read above 1.0.
+    prev = {"bytes": port.bytes_serialized(), "t": ctx.env.now}
 
     def util() -> float:
         now = ctx.env.now
         dt = now - prev["t"]
-        sent = port.bytes_sent
         if dt <= 0:
             return 0.0
+        sent = port.bytes_serialized()
         frac = (sent - prev["bytes"]) * 8.0 / (port.rate_bps * dt)
         prev["bytes"] = sent
         prev["t"] = now

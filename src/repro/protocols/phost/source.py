@@ -142,8 +142,7 @@ class PHostSource:
         pkt = self.pool.data(
             flow, seq, flow.src, flow.dst, flow.wire_bytes_of(seq), priority, now
         )
-        first_time = seq not in state.sent
-        state.sent.add(seq)
+        first_time = state.mark_sent(seq)
         self.tenant_sent.add(flow.tenant)
         if flow.start_time is None:
             flow.start_time = now

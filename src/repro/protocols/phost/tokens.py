@@ -4,13 +4,14 @@ A :class:`Token` is the source-side record of a destination grant: it
 authorizes exactly one data packet (``seq``) at a given priority and
 lapses at ``expiry`` (1.5 MTU transmission times after receipt, by
 default).  :class:`SourceFlowState` tracks a flow's granted tokens, its
-free-token budget and what has been sent.
+free-token budget and what has been sent (a byte per packet, with the
+count of packets sent at least once).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Set
+from typing import Deque, Optional
 
 from repro.net.packet import Flow
 
@@ -43,6 +44,7 @@ class SourceFlowState:
         "free_left",
         "next_free_seq",
         "sent",
+        "n_sent",
         "done",
         "got_token",
         "rts_sends",
@@ -62,7 +64,8 @@ class SourceFlowState:
         self.tokens: Deque[Token] = deque()
         self.free_left = min(free_tokens, flow.n_pkts)
         self.next_free_seq = 0
-        self.sent: Set[int] = set()
+        self.sent = bytearray(flow.n_pkts)
+        self.n_sent = 0
         self.done = False
         self.got_token = False
         self.rts_sends = 0
@@ -109,7 +112,7 @@ class SourceFlowState:
         while (
             self.free_left > 0
             and self.next_free_seq < self.flow.n_pkts
-            and self.next_free_seq in self.sent
+            and self.sent[self.next_free_seq]
         ):
             self.next_free_seq += 1
             self.free_left -= 1
@@ -123,6 +126,14 @@ class SourceFlowState:
         self.free_left -= 1
         return seq
 
+    def mark_sent(self, seq: int) -> bool:
+        """Record that ``seq`` went out; True on its first transmission."""
+        if self.sent[seq]:
+            return False
+        self.sent[seq] = 1
+        self.n_sent += 1
+        return True
+
     def has_any_token(self, now: float) -> bool:
         """Any spendable credit — granted (unexpired) or free.
 
@@ -135,13 +146,13 @@ class SourceFlowState:
 
     def remaining_hint(self) -> int:
         """Packets not yet sent at least once (the SRPT spend key)."""
-        return self.flow.n_pkts - len(self.sent)
+        return self.flow.n_pkts - self.n_sent
 
     def all_sent(self) -> bool:
-        return len(self.sent) >= self.flow.n_pkts
+        return self.n_sent >= self.flow.n_pkts
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SourceFlowState(fid={self.flow.fid}, tokens={len(self.tokens)}, "
-            f"free={self.free_left}, sent={len(self.sent)}/{self.flow.n_pkts})"
+            f"free={self.free_left}, sent={self.n_sent}/{self.flow.n_pkts})"
         )

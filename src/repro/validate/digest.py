@@ -15,7 +15,7 @@ fingerprints (see ``tests/validate/golden_digests.json``).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = ["run_digest", "incast_digest"]
 
@@ -28,29 +28,40 @@ def _sha256_of(lines: Iterable[str]) -> str:
     return h.hexdigest()
 
 
-def run_digest(result) -> str:
-    """Fingerprint an :class:`~repro.experiments.spec.ExperimentResult`.
+def _fid_key(record) -> str:
+    return f"{record.fid},"
 
-    Record lines are sorted before hashing, so the digest is independent
-    of completion order bookkeeping (but not of the completion *times*
-    themselves, which are part of each line).
-    """
-    lines = sorted(
-        f"flow:{r.fid},{r.src},{r.dst},{r.size_bytes},{r.n_pkts},{r.tenant},"
-        f"{r.arrival!r},{'' if r.finish is None else repr(r.finish)}"
-        for r in result.records
-    )
-    lines.extend(
-        f"drops:hop{hop}={count}" for hop, count in sorted(result.drops.by_hop.items())
-    )
-    lines.append(
+
+def _run_lines(result) -> Iterator[str]:
+    # Record lines hash in the order of the sorted lines themselves.
+    # Each line is "flow:<fid>,..." and fids are unique, so ordering the
+    # records by "<fid>," gives that order (',' sorts before every
+    # digit) without building the lines up front.
+    for r in sorted(result.records, key=_fid_key):
+        yield (
+            f"flow:{r.fid},{r.src},{r.dst},{r.size_bytes},{r.n_pkts},{r.tenant},"
+            f"{r.arrival!r},{'' if r.finish is None else repr(r.finish)}"
+        )
+    for hop, count in sorted(result.drops.by_hop.items()):
+        yield f"drops:hop{hop}={count}"
+    yield (
         "counters:"
         f"injected={result.data_pkts_injected},"
         f"retx={result.data_pkts_retransmitted},"
         f"control={result.control_pkts_sent},"
         f"payload_bytes={result.payload_bytes_delivered}"
     )
-    return _sha256_of(lines)
+
+
+def run_digest(result) -> str:
+    """Fingerprint an :class:`~repro.experiments.spec.ExperimentResult`.
+
+    Record lines are hashed in sorted order, so the digest is
+    independent of completion order bookkeeping (but not of the
+    completion *times* themselves, which are part of each line).  Lines
+    are hashed as they are made; none is kept.
+    """
+    return _sha256_of(_run_lines(result))
 
 
 def incast_digest(result) -> str:

@@ -76,7 +76,15 @@ def test_ack_cleans_up_source_state():
     dst_agent: PHostAgent = fabric.hosts[1].agent
     assert src_agent.source.active_flow_count == 0
     assert dst_agent.destination.pending_flow_count == 0
-    assert flow.fid in dst_agent.destination.finished
+    assert flow.completed
+    # A late copy of the data is a duplicate of a finished flow: counted
+    # as such, without re-creating destination state for it.
+    from repro.net.packet import Packet
+
+    dups = collector.data_pkts_duplicate
+    dst_agent.on_packet(Packet(PacketType.DATA, flow, 0, 0, 1, 1500))
+    assert collector.data_pkts_duplicate == dups + 1
+    assert dst_agent.destination.pending_flow_count == 0
 
 
 def test_duplicate_rts_for_finished_flow_reacks():

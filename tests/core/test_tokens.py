@@ -27,7 +27,7 @@ def test_free_seqs_issued_in_order():
 
 def test_free_path_skips_seqs_already_sent_via_regrant():
     state = make_state(free=3)
-    state.sent.add(0)  # sent via a re-granted token
+    assert state.mark_sent(0)  # sent via a re-granted token
     assert state.take_free_seq() == 1
     # the entitlement for seq 0 was consumed by the skip
     assert state.free_left == 1
@@ -64,10 +64,11 @@ def test_has_any_token_covers_both_kinds():
 def test_remaining_hint_counts_unsent():
     state = make_state(n_bytes=1460 * 10)
     assert state.remaining_hint() == 10
-    state.sent.update({0, 1, 2})
-    assert state.remaining_hint() == 7
+    assert [state.mark_sent(seq) for seq in (0, 1, 2, 1)] == [True, True, True, False]
+    assert state.remaining_hint() == 7  # a resend is not progress
     assert not state.all_sent()
-    state.sent.update(range(10))
+    for seq in range(10):
+        state.mark_sent(seq)
     assert state.all_sent()
 
 

@@ -34,6 +34,18 @@ def test_run_json_reports_the_events_pin_and_golden_digest(capsys):
     assert payload["run_digest"] == goldens["fig3-tiny-phost-websearch-seed42"]
 
 
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A batch file naming an unknown protocol and a trace with a
+    malformed row, outside the directory each case runs in."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    (inputs / "nosuch.json").write_text(
+        json.dumps({"experiments": [{"protocol": "nosuch", "workload": "imc10", "name": "a"}]})
+    )
+    (inputs / "bad.csv").write_text("arrival,src,dst,size_bytes\nx,0,1,100\n")
+    return inputs
+
+
 @pytest.mark.parametrize("argv, message", [
     ("--run nosuch websearch", "unknown protocol 'nosuch'"),
     ("--run phost nosuchwl", "unknown workload 'nosuchwl'"),
@@ -50,10 +62,13 @@ def test_run_json_reports_the_events_pin_and_golden_digest(capsys):
     ("--batch /nonexistent.json", "/nonexistent.json: cannot read"),
     ("--sweep load phost websearch --values abc", "load must be a number, got 'abc'"),
     ("--sweep n_flows phost websearch --values 1.5", "n_flows must be an integer, got 1.5"),
+    ("--batch {inputs}/nosuch.json", "a: unknown protocol 'nosuch'"),
+    ("--replay {inputs}/bad.csv", "bad.csv:2: bad row"),
+    ("--run phost websearch --trace {inputs}/bad.csv", "bad.csv:2: bad row"),
 ])
-def test_bad_names_are_usage_errors(argv, message, capsys, tmp_path, monkeypatch):
+def test_bad_names_are_usage_errors(argv, message, capsys, tmp_path, monkeypatch, bad_inputs):
     monkeypatch.chdir(tmp_path)
-    assert main(argv.split() + ["--scale", "tiny"]) == 2
+    assert main(argv.format(inputs=bad_inputs).split() + ["--scale", "tiny"]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert out == "" and list(tmp_path.iterdir()) == []  # nothing ran or was written

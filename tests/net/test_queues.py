@@ -163,16 +163,18 @@ def queue_ops(draw):
 def test_property_byte_accounting_and_capacity(ops, kind):
     cap = 6000
     q = PriorityQueue(cap) if kind == "priority" else PFabricQueue(cap)
+    held = {}  # id -> packet: pushed, and neither dropped nor popped since
     for op, size, rem in ops:
         if op == "push":
             pkt = make_pkt(size, priority=rem % 8, remaining=rem)
-            q.push(pkt)
+            held[id(pkt)] = pkt
+            for dropped in q.push(pkt):
+                del held[id(dropped)]
         else:
-            q.pop()
-        if kind == "pfabric":
-            expected = sum(p.size for p in q.pkts)
-        else:
-            expected = sum(p.size for band in q.bands for p in band)
+            popped = q.pop()
+            if popped is not None:
+                del held[id(popped)]
+        expected = sum(p.size for p in held.values())
         assert q.bytes_queued == expected
         assert q.bytes_queued <= cap
         assert (len(q) == 0) == (not q)

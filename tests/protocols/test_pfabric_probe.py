@@ -117,3 +117,34 @@ def test_probing_disabled_when_threshold_zero():
     env.run(until=20 * cfg.rto)
     # without probe mode, every RTO re-blasts the window
     assert collector.data_pkts_retransmitted > 6 * 5
+
+
+@pytest.mark.parametrize("last_seen", [True, False])
+def test_probes_never_touch_the_seq_maps(last_seen):
+    """PROBE_SEQ is -1, which as an index names a seq map's last slot.
+    A probe DATA and a probe ACK must move no delivery, duplicate or
+    ACK count, whether or not the flow's last seq was already seen."""
+    from repro.net.packet import Packet
+
+    env, fabric, collector, _ = sim()
+    src, dst = fabric.hosts[0].agent, fabric.hosts[5].agent
+    flow = Flow(1, 0, 5, 4 * 1460, 0.0)
+    collector.expected_flows = 1
+    src.start_flow(flow)
+    last = flow.n_pkts - 1
+    if last_seen:
+        dst.on_packet(Packet(PacketType.DATA, flow, last, 0, 5, 1500))
+        src.on_packet(Packet(PacketType.ACK, flow, last, 5, 0, 40))
+    state = src.src_flows[flow.fid]
+    before = (
+        collector.data_pkts_delivered, collector.data_pkts_duplicate,
+        state.remaining(), state.in_flight,
+    )
+    dst.on_packet(Packet(PacketType.DATA, flow, PROBE_SEQ, 0, 5, 40))
+    src.on_packet(Packet(PacketType.ACK, flow, PROBE_SEQ, 5, 0, 40))
+    after = (
+        collector.data_pkts_delivered, collector.data_pkts_duplicate,
+        state.remaining(), state.in_flight,
+    )
+    assert after == before
+    assert not flow.completed
