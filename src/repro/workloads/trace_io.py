@@ -32,8 +32,9 @@ fabric, arrivals that go backwards when the file claims ``sorted=True``
 that parses is guaranteed to be a runnable schedule.
 
 ``save_flows``/``load_flows`` round-trip exactly (arrivals written with
-``repr`` so floats survive), and ``iter_flows`` streams records without
-materialising the list.
+``repr`` so floats survive), ``iter_flows`` streams records without
+materialising the list, and ``check_trace`` validates a file without
+building any flows.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.net.packet import Flow
 
-__all__ = ["save_flows", "load_flows", "iter_flows", "TraceFormatError"]
+__all__ = ["save_flows", "load_flows", "iter_flows", "check_trace", "TraceFormatError"]
 
 _HEADER = ["arrival", "src", "dst", "size_bytes", "tenant", "deadline", "job"]
 _JSONL_SUFFIXES = {".jsonl", ".ndjson"}
@@ -224,6 +225,23 @@ def _iter_jsonl_rows(path: Path, n_hosts: Optional[int]) -> Iterator[_Row]:
         raise TraceFormatError(f"{path}: empty trace file")
 
 
+def _iter_rows(path: Path, n_hosts: Optional[int], fmt: Optional[str]) -> Iterator[_Row]:
+    if _format_for(path, fmt) == "jsonl":
+        return _iter_jsonl_rows(path, n_hosts)
+    return _iter_csv_rows(path, n_hosts)
+
+
+def check_trace(
+    path: Union[str, Path],
+    n_hosts: Optional[int] = None,
+    fmt: Optional[str] = None,
+) -> int:
+    """Validate every row of a trace as :func:`load_flows` does, without
+    building flows; returns the number of flows.  Raises
+    :class:`TraceFormatError` on the first bad row."""
+    return sum(1 for _ in _iter_rows(Path(path), n_hosts, fmt))
+
+
 def iter_flows(
     path: Union[str, Path],
     n_hosts: Optional[int] = None,
@@ -236,12 +254,7 @@ def iter_flows(
     assigned in file order — so arbitrarily large traces can be scanned
     in constant memory.
     """
-    path = Path(path)
-    rows = (
-        _iter_jsonl_rows(path, n_hosts)
-        if _format_for(path, fmt) == "jsonl"
-        else _iter_csv_rows(path, n_hosts)
-    )
+    rows = _iter_rows(Path(path), n_hosts, fmt)
     for i, (arrival, src, dst, size, tenant, deadline, job) in enumerate(rows):
         yield Flow(
             first_fid + i,
@@ -272,11 +285,7 @@ def load_flows(
     file order is preserved exactly.
     """
     path = Path(path)
-    rows_iter = (
-        _iter_jsonl_rows(path, n_hosts)
-        if _format_for(path, fmt) == "jsonl"
-        else _iter_csv_rows(path, n_hosts)
-    )
+    rows_iter = _iter_rows(path, n_hosts, fmt)
     rows: List[_Row] = []
     if sorted:
         prev = None

@@ -14,6 +14,7 @@ from repro.workloads.generator import FlowGenerator
 from repro.workloads.traffic_matrix import AllToAll
 from repro.workloads.trace_io import (
     TraceFormatError,
+    check_trace,
     iter_flows,
     load_flows,
     save_flows,
@@ -76,6 +77,8 @@ def test_malformed_traces_rejected(tmp_path, body):
     path.write_text(body)
     with pytest.raises(TraceFormatError):
         load_flows(path)
+    with pytest.raises(TraceFormatError):
+        check_trace(path)
 
 
 def test_host_range_validation(tmp_path):
@@ -83,7 +86,16 @@ def test_host_range_validation(tmp_path):
     path.write_text("arrival,src,dst,size_bytes\n0,0,99,100\n")
     with pytest.raises(TraceFormatError):
         load_flows(path, n_hosts=12)
+    with pytest.raises(TraceFormatError):
+        check_trace(path, n_hosts=12)
     assert load_flows(path) != []  # fine without a fabric bound
+
+
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+def test_check_trace_counts_the_flows_load_flows_reads(tmp_path, suffix):
+    path = tmp_path / f"trace.{suffix}"
+    save_flows(sample_flows(), path)
+    assert check_trace(path, n_hosts=12) == len(load_flows(path, n_hosts=12)) == 20
 
 
 def test_blank_lines_skipped(tmp_path):
