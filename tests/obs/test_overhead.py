@@ -13,6 +13,7 @@ Two contracts from the issue:
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.experiments.defaults import make_spec
@@ -67,14 +68,18 @@ def test_dormant_registry_never_evaluates_a_gauge(monkeypatch):
 
 def test_dormant_registry_wall_clock_overhead_under_5_percent():
     # Warm both paths once (imports, allocator), then take min-of-5
-    # interleaved so scheduler noise hits both variants equally.
+    # interleaved so scheduler noise hits both variants equally.  Each
+    # arm starts from a collected heap, so the garbage one arm (or an
+    # earlier test) left behind is not collected inside the other's timing.
     _bare()
     _instrumented()
     bare_best = inst_best = float("inf")
     for _ in range(5):
+        gc.collect()
         t0 = time.perf_counter()
         _bare()
         bare_best = min(bare_best, time.perf_counter() - t0)
+        gc.collect()
         t0 = time.perf_counter()
         _instrumented()
         inst_best = min(inst_best, time.perf_counter() - t0)

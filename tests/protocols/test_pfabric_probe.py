@@ -148,3 +148,68 @@ def test_probes_never_touch_the_seq_maps(last_seen):
     )
     assert after == before
     assert not flow.completed
+
+
+class _Wire:
+    """Stands in for an agent's host: keeps what the agent sends."""
+
+    def __init__(self, host):
+        self.node_id = host.node_id
+        self.sent = []
+
+    def send(self, pkt):
+        self.sent.append(pkt)
+
+
+@pytest.mark.parametrize(
+    "protocol,label", [("pfabric", "pFabric"), ("dctcp", "DCTCP"), ("fastpass", "Fastpass")]
+)
+def test_one_receiver_contract(protocol, label):
+    """pFabric, DCTCP and Fastpass share one receiver and one ACK path.
+    A DATA packet with a negative seq carries no data: it is ACKed, and
+    neither it nor its ACK moves a received or ACKed count.  Data that
+    arrives after the flow finished is a duplicate and is still ACKed.
+    Any other packet type is an error that names the protocol."""
+    from repro.net.packet import Packet
+
+    ctx = build_simulation(
+        ExperimentSpec(
+            protocol=protocol, workload="fixed:1460", n_flows=1,
+            topology=TopologyConfig.small(), seed=1,
+        )
+    )
+    collector = ctx.collector
+    src, dst = ctx.fabric.hosts[0].agent, ctx.fabric.hosts[5].agent
+    dst.host = wire = _Wire(dst.host)
+    flow = Flow(1, 0, 5, 3 * 1460, 0.0)
+    collector.expected_flows = 1
+    src.start_flow(flow)
+    dst.on_packet(Packet(PacketType.DATA, flow, 0, 0, 5, 1500))
+    src.on_packet(wire.sent.pop())
+    sender, receiver = src.src_flows[flow.fid], dst.dst_flows[flow.fid]
+
+    def counts():
+        return (
+            receiver.n_received, bytes(receiver.received),
+            sender.n_acked, bytes(sender.acked),
+            collector.data_pkts_delivered, collector.data_pkts_duplicate,
+        )
+
+    before = counts()
+    dst.on_packet(Packet(PacketType.DATA, flow, -1, 0, 5, 40))
+    (ack,) = wire.sent
+    assert (ack.ptype, ack.seq) == (PacketType.ACK, -1)
+    src.on_packet(wire.sent.pop())
+    assert counts() == before
+
+    for seq in range(1, flow.n_pkts):
+        dst.on_packet(Packet(PacketType.DATA, flow, seq, 0, 5, 1500))
+    assert flow.finish is not None
+    wire.sent.clear()
+    duplicates = collector.data_pkts_duplicate
+    dst.on_packet(Packet(PacketType.DATA, flow, 0, 0, 5, 1500))
+    assert collector.data_pkts_duplicate == duplicates + 1
+    assert [(a.ptype, a.seq) for a in wire.sent] == [(PacketType.ACK, 0)]
+
+    with pytest.raises(ValueError, match=label):
+        dst.on_packet(Packet(PacketType.TOKEN, flow, 0, 0, 5, 40))
