@@ -7,8 +7,7 @@ See docs/DATAPLANE.md for the programming model.  Public surface:
 * :class:`ProgramQueue` — the generic per-port engine executing a
   program with bounded :class:`PortState` ledgers;
 * :class:`CommodityProgram` / :class:`PFabricProgram` — the paper's two
-  switch models as reference programs (compiling to the hand-optimized
-  ``repro.net.queues`` classes on the hot path);
+  switch models as reference programs;
 * :class:`DctcpEcnProgram` — DCTCP-style ECN threshold marking, the
   first plug-in landed purely through the public API;
 * :func:`register_dataplane` / :func:`get_dataplane` /
@@ -50,13 +49,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DataplaneBinding:
-    """Which programs one run's fabric is executing.
-
-    Which form each port runs — a hand-fused queue class or the generic
-    :class:`ProgramQueue` engine — is read off the port's queue
-    (``SimContext.effective_tuning()``, and the ``state`` ledger obs and
-    the auditors look for), so any mix works.
-    """
+    """Which programs one run's fabric is executing: ``switch`` on every
+    switch port, ``host`` on every NIC, each in a :class:`ProgramQueue`."""
 
     switch: DataplaneProgram
     host: DataplaneProgram

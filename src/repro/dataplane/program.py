@@ -3,10 +3,9 @@
 The paper's central hardware claim (§2.1) is a *dichotomy*: pHost and
 Fastpass run on commodity switches (a few strict-priority bands,
 drop-tail), while pFabric needs custom silicon (priority drop and
-priority dequeue on a per-packet ``remaining`` value).  The seed
-repository hardcoded that dichotomy as exactly two queue classes; every
-further switch behaviour (ECN marking, policing, trimming, WFQ) would
-have been a third fork of ``repro.net.queues``.
+priority dequeue on a per-packet ``remaining`` value).  Written as two
+queue classes, every further switch behaviour (ECN marking, policing,
+trimming, WFQ) would be a third class.
 
 This module replaces the fork point with a small match-action pipeline
 in the style of P4: a :class:`DataplaneProgram` is a *stateless policy
@@ -29,11 +28,12 @@ so a buggy program can mis-prioritize but cannot corrupt conservation:
 scheduled + queued + evicted`` hold by construction and are audited by
 :class:`repro.validate.ConservationAuditor`.
 
-Hot-path note: the two reference programs (commodity, pFabric) also
-*compile* to the hand-optimized ``repro.net.queues`` classes — see
-:meth:`DataplaneProgram.make_queue` and ``SimTuning.fused_dataplane``.
-The generic engine is the semantic reference: the determinism suite
-proves both forms produce byte-identical run digests.
+Every port of a fabric runs this one engine.  Its speed comes from
+binding the stages once per queue: a stage the program inherits from
+:class:`DataplaneProgram` is not called per packet (no meter is
+skipped; drop-tail admission and strict-priority scheduling run
+inline), and the reference programs' own stages are single C-level
+scans over the engine's ``bands`` column.
 """
 
 from __future__ import annotations
@@ -41,9 +41,34 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.net.packet import Packet
-from repro.net.queues import _NO_DROP
 
 __all__ = ["PortState", "DataplaneProgram", "ProgramQueue"]
+
+
+class _ReadOnlyDropList(list):
+    """The shared empty push() return, with the read-only contract
+    *enforced*: a caller appending to (or otherwise mutating) the
+    sentinel would silently corrupt every later "nothing dropped"
+    return, so every mutator raises instead.  Still a ``list`` subclass
+    — ``dropped == []``, truthiness, and iteration behave exactly like
+    the plain literal."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(
+            "push() returned the shared no-drop sentinel; it is read-only "
+            "(copy it with list(...) if you need to mutate)"
+        )
+
+    append = extend = insert = remove = clear = sort = reverse = _refuse
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    pop = _refuse
+
+
+#: Shared "nothing dropped" return — saves one list allocation per push
+#: on the hot path.  Read-only by construction (see _ReadOnlyDropList).
+_NO_DROP: List[Packet] = _ReadOnlyDropList()
 
 
 class PortState:
@@ -99,25 +124,18 @@ class DataplaneProgram:
     simplest commodity behaviour (single band, no marking, drop-tail,
     FIFO).  ``q`` is the executing :class:`ProgramQueue` — programs
     read occupancy (``q.bytes_queued``, ``q.capacity_bytes``) and the
-    parallel entry arrays (``q.pkts`` / ``q.bands`` / ``q.stamps``,
+    parallel entry arrays (``q.pkts`` / ``q.bands``, in arrival order,
     read-only) but never mutate them; all removal goes through victim
-    *indices* returned to the engine.
+    *indices* returned to the engine.  ``classify`` must be a pure
+    function of the packet: an idle port that cuts a packet through
+    does not call it.
     """
 
     #: Registry key; subclasses must override.
     name = "program"
 
-    # -- compilation -----------------------------------------------------
-    def make_queue(self, capacity_bytes: int, *, fused: bool = True):
-        """Build the per-port queue executing this program.
-
-        ``fused=True`` lets a program return a hand-optimized
-        specialized queue (the PR-4 hot path) when one exists; the
-        base class and any plug-in without a specialization always
-        return the generic engine.  Both forms must be behaviourally
-        identical — the determinism suite runs the reference programs
-        with ``SimTuning(fused_dataplane=False)`` to prove it.
-        """
+    def make_queue(self, capacity_bytes: int) -> "ProgramQueue":
+        """Build the per-port queue executing this program."""
         return ProgramQueue(self, capacity_bytes)
 
     # -- stage 1: classify ----------------------------------------------
@@ -145,13 +163,15 @@ class DataplaneProgram:
         Returning the incoming packet's own index (always the last
         entry on the first call) is drop-tail; returning a buffered
         entry's index is pFabric-style displacement.  The default is
-        drop-tail.
+        drop-tail, which the engine decides before the append, with the
+        same outcome.
         """
         return len(q.pkts) - 1
 
     # -- stage 4: schedule -----------------------------------------------
     def schedule(self, q: "ProgramQueue") -> int:
-        """Index of the entry to serialize next (never called empty).
+        """Index of the entry to serialize next (never called with
+        fewer than two entries).
 
         The default is strict-priority across bands, FIFO within a
         band (the commodity discipline).
@@ -166,17 +186,16 @@ class DataplaneProgram:
 class ProgramQueue:
     """Generic engine executing one :class:`DataplaneProgram` per port.
 
-    Implements the exact queue protocol :class:`repro.net.port.Port`
-    depends on — ``push(pkt) -> dropped list``, ``pop() -> packet |
-    None``, ``bytes_queued``, ``pkts_queued``, ``peek``, ``__len__``,
-    ``__bool__`` — so ports cannot tell a program apart from the
-    hand-written queue classes.  It adds ``through(pkt)``, which an idle
-    port calls in place of push-then-pop when it cuts a packet through.
+    Implements the queue protocol :class:`repro.net.port.Port` depends
+    on — ``push(pkt) -> dropped list``, ``pop() -> packet | None``,
+    ``bytes_queued``, ``pkts_queued``, ``peek``, ``__len__``,
+    ``__bool__`` — and declares ``cut_through``: an idle port may skip
+    the empty buffer, counting the packet in ``state`` and running
+    ``meter`` itself (see repro.net.port).
 
-    Storage is three parallel arrays in arrival order: packets, their
-    classified bands, and monotone arrival stamps.  List order *is*
-    stamp order (removals preserve it), which the pFabric reference
-    program's tie-breaking and starvation-avoidance rules rely on.
+    Storage is two parallel lists in arrival order: packets and their
+    classified bands.  Removals preserve the order, which the reference
+    programs' tie-breaking and starvation-avoidance rules rely on.
     """
 
     __slots__ = (
@@ -185,15 +204,15 @@ class ProgramQueue:
         "state",
         "pkts",
         "bands",
-        "stamps",
         "bytes_queued",
         "pkts_queued",
-        "_arrival_seq",
+        "meter",
+        "_classify",
+        "_evict",
+        "_schedule",
     )
 
-    #: An idle port may bypass the buffer, calling :meth:`through`
-    #: instead, so classify, meter and the stage ledgers still see
-    #: every packet (see repro.net.port).
+    #: An idle port may bypass the empty buffer (see repro.net.port).
     cut_through = True
 
     def __init__(self, program: DataplaneProgram, capacity_bytes: int) -> None:
@@ -202,39 +221,56 @@ class ProgramQueue:
         self.state = PortState()
         self.pkts: List[Packet] = []
         self.bands: List[int] = []
-        self.stamps: List[int] = []
         self.bytes_queued = 0
         self.pkts_queued = 0
-        self._arrival_seq = 0
+        # Stages bound once; None for a stage the program inherits, which
+        # then costs no call per packet.
+        cls = type(program)
+        self._classify = program.classify
+        #: The program's meter stage, or None: also run by an idle port
+        #: on its cut path.
+        self.meter = None if cls.meter is DataplaneProgram.meter else program.meter
+        self._evict = None if cls.evict is DataplaneProgram.evict else program.evict
+        self._schedule = (
+            None if cls.schedule is DataplaneProgram.schedule else program.schedule
+        )
 
     # ------------------------------------------------------------------
     def push(self, pkt: Packet) -> List[Packet]:
         """Run classify -> meter -> admit/evict; returns dropped packets.
 
-        The returned list is owned by the queue when empty — read-only
-        (same contract as ``repro.net.queues``).
+        The returned list is owned by the queue when empty — read-only.
         """
         state = self.state
-        program = self.program
         state.classified += 1
-        band = program.classify(pkt, self)
-        if program.meter(pkt, self):
+        band = self._classify(pkt, self)
+        meter = self.meter
+        if meter is not None and meter(pkt, self):
             state.marked += 1
-        # Provisional append: admit/evict sees the full candidate set
-        # (buffer + incoming) with the incoming holding the newest stamp.
-        self._arrival_seq += 1
+        size = pkt.size
+        if self._evict is None and self.bytes_queued + size > self.capacity_bytes:
+            # Drop-tail: the incoming packet is the only victim.
+            state.dropped_incoming += 1
+            return [pkt]
+        # Provisional append: evict sees the full candidate set (buffer
+        # + incoming), the incoming packet last.
         self.pkts.append(pkt)
         self.bands.append(band)
-        self.stamps.append(self._arrival_seq)
-        self.bytes_queued += pkt.size
+        self.bytes_queued += size
         self.pkts_queued += 1
         if self.bytes_queued <= self.capacity_bytes:
             state.admitted += 1
             return _NO_DROP
+        evict = self._evict
+        pkts = self.pkts
         dropped: List[Packet] = []
         incoming_dropped = False
-        while self.bytes_queued > self.capacity_bytes and self.pkts:
-            victim = self._remove_at(program.evict(pkt, self))
+        while self.bytes_queued > self.capacity_bytes and pkts:
+            index = evict(pkt, self)
+            victim = pkts.pop(index)
+            del self.bands[index]
+            self.bytes_queued -= victim.size
+            self.pkts_queued -= 1
             if victim is pkt:
                 incoming_dropped = True
             else:
@@ -246,47 +282,33 @@ class ProgramQueue:
             state.admitted += 1
         return dropped
 
-    def through(self, pkt: Packet) -> None:
-        """Account a packet an idle port cuts through this empty queue.
-
-        Push-then-pop of a fitting packet into an empty buffer admits it
-        on capacity alone (no evict), and ``schedule`` over one entry
-        can only answer index 0.  So the port may skip the buffer; this
-        still runs classify and meter against the empty queue, draws the
-        arrival stamp, and counts the packet classified, admitted and
-        scheduled, leaving every ledger as push-then-pop would.
-        """
-        state = self.state
-        program = self.program
-        state.classified += 1
-        program.classify(pkt, self)
-        if program.meter(pkt, self):
-            state.marked += 1
-        self._arrival_seq += 1
-        state.admitted += 1
-        state.scheduled += 1
-
     def pop(self) -> Optional[Packet]:
-        if not self.pkts:
+        pkts = self.pkts
+        if not pkts:
             return None
-        pkt = self._remove_at(self.program.schedule(self))
+        if len(pkts) == 1:
+            index = 0
+        elif self._schedule is None:
+            bands = self.bands
+            index = bands.index(min(bands))
+        else:
+            index = self._schedule(self)
+        pkt = pkts.pop(index)
+        del self.bands[index]
+        self.bytes_queued -= pkt.size
+        self.pkts_queued -= 1
         self.state.scheduled += 1
         return pkt
 
     def peek(self) -> Optional[Packet]:
         """The packet :meth:`pop` would return, without removing it."""
-        if not self.pkts:
-            return None
-        return self.pkts[self.program.schedule(self)]
-
-    # ------------------------------------------------------------------
-    def _remove_at(self, index: int) -> Packet:
-        pkt = self.pkts.pop(index)
-        self.bands.pop(index)
-        self.stamps.pop(index)
-        self.bytes_queued -= pkt.size
-        self.pkts_queued -= 1
-        return pkt
+        pkts = self.pkts
+        if len(pkts) < 2:
+            return pkts[0] if pkts else None
+        if self._schedule is None:
+            bands = self.bands
+            return pkts[bands.index(min(bands))]
+        return pkts[self._schedule(self)]
 
     def __len__(self) -> int:
         return self.pkts_queued

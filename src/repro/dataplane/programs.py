@@ -1,24 +1,30 @@
 """The built-in dataplane programs.
 
-Two *reference* programs re-express the seed repository's queue classes
-as match-action pipelines — the paper's commodity switch and pFabric's
-custom silicon — and one *new* program (DCTCP-style ECN marking)
-demonstrates that a plug-in needs nothing beyond the public stage API.
-
-The reference programs also compile to the hand-optimized
-``repro.net.queues`` classes when ``fused=True`` (the default at run
-time, controlled by ``SimTuning.fused_dataplane``): the generic engine
-is the semantic specification, the specialized class is the hot path,
-and the determinism suite holds them byte-identical.
+Two *reference* programs express the paper's two switch models as
+match-action pipelines — the commodity switch and pFabric's custom
+silicon — and one more (DCTCP-style ECN marking) shows that a plug-in
+needs nothing beyond the public stage API.  Every stage a program
+overrides here is one C-level scan over the engine's ``bands`` column,
+never a Python loop over the buffer.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter, indexOf
+
 from repro.net.packet import Packet, PacketType
-from repro.net.queues import PFabricQueue, PriorityQueue
 from repro.dataplane.program import DataplaneProgram, ProgramQueue
 
 __all__ = ["CommodityProgram", "PFabricProgram", "DctcpEcnProgram"]
+
+_FLOW = attrgetter("flow")
+
+
+def _evict_newest_of_highest_band(self, pkt: Packet, q: ProgramQueue) -> int:
+    """The newest entry of the highest band: that band's last entry,
+    because list order is arrival order."""
+    bands = q.bands
+    return len(bands) - 1 - bands[::-1].index(max(bands))
 
 
 class CommodityProgram(DataplaneProgram):
@@ -39,11 +45,6 @@ class CommodityProgram(DataplaneProgram):
             raise ValueError("need at least one priority band")
         self.n_bands = n_bands
 
-    def make_queue(self, capacity_bytes: int, *, fused: bool = True):
-        if fused:
-            return PriorityQueue(capacity_bytes, n_bands=self.n_bands)
-        return ProgramQueue(self, capacity_bytes)
-
     def classify(self, pkt: Packet, q: ProgramQueue) -> int:
         band = pkt.priority
         if band < 0:
@@ -59,61 +60,38 @@ class CommodityProgram(DataplaneProgram):
 class PFabricProgram(DataplaneProgram):
     """pFabric's specialized queue as a program.
 
-    classify  -> single band (pFabric ignores priority bands; urgency
-                 lives in ``remaining``);
+    classify  -> the packet's ``remaining`` value, its urgency rank
+                 (fewer remaining un-ACKed packets = more urgent; the
+                 pFabric agent stamps control packets 0);
     meter     -> nothing;
-    evict     -> the least-urgent entry: max ``(remaining, stamp)``.
-                 The incoming packet holds the newest stamp, so on an
-                 urgency tie the *incoming* packet is dropped and older
-                 buffered packets survive — exactly
-                 ``PFabricQueue``'s ``max`` over its keys;
+    evict     -> the least-urgent entry: max ``(remaining, arrival)``,
+                 the last entry of the highest band.  The incoming
+                 packet is the newest, so on an urgency tie the
+                 *incoming* packet is dropped and older buffered
+                 packets survive;
     schedule  -> starvation avoidance (paper footnote 1): the most
-                 urgent entry — min ``(remaining, stamp)`` — selects a
-                 flow; the earliest queued packet of that flow is
-                 transmitted.
+                 urgent entry — min ``(remaining, arrival)``, the first
+                 entry of the lowest band — selects a flow; the
+                 earliest queued packet of that flow is transmitted.
     """
 
     name = "pfabric"
 
-    def make_queue(self, capacity_bytes: int, *, fused: bool = True):
-        if fused:
-            return PFabricQueue(capacity_bytes)
-        return ProgramQueue(self, capacity_bytes)
+    def classify(self, pkt: Packet, q: ProgramQueue) -> int:
+        return pkt.remaining
 
-    def evict(self, pkt: Packet, q: ProgramQueue) -> int:
-        pkts = q.pkts
-        stamps = q.stamps
-        worst = 0
-        worst_key = (pkts[0].remaining, stamps[0])
-        for i in range(1, len(pkts)):
-            key = (pkts[i].remaining, stamps[i])
-            if key > worst_key:
-                worst_key = key
-                worst = i
-        return worst
+    evict = _evict_newest_of_highest_band
 
     def schedule(self, q: ProgramQueue) -> int:
-        pkts = q.pkts
-        stamps = q.stamps
-        best = 0
-        best_key = (pkts[0].remaining, stamps[0])
-        for i in range(1, len(pkts)):
-            key = (pkts[i].remaining, stamps[i])
-            if key < best_key:
-                best_key = key
-                best = i
-        flow = pkts[best].flow
+        bands = q.bands
+        urgent = bands.index(min(bands))
+        flow = q.pkts[urgent].flow
         if flow is None:
-            return best
-        # List order is arrival order, so the first same-flow entry is
-        # the earliest queued packet of the selected flow.
-        for i, p in enumerate(pkts):
-            if p.flow is flow:
-                return i
-        return best  # pragma: no cover - flow is in pkts by construction
+            return urgent
+        return indexOf(map(_FLOW, q.pkts), flow)
 
 
-class DctcpEcnProgram(DataplaneProgram):
+class DctcpEcnProgram(CommodityProgram):
     """DCTCP's switch side: commodity forwarding + ECN threshold marking.
 
     Identical to :class:`CommodityProgram` except for two stages:
@@ -136,29 +114,15 @@ class DctcpEcnProgram(DataplaneProgram):
                  flow the receiver already completed).  For data-only
                  overflow the victim is the incoming packet itself, so
                  the behaviour degenerates to commodity drop-tail.
-
-    There is deliberately no fused specialization: this program always
-    runs on the generic :class:`ProgramQueue` engine, proving the
-    plug-in path end to end (per-stage ledgers included).
     """
 
     name = "dctcp"
 
     def __init__(self, n_bands: int = 8, mark_threshold_bytes: int = 9_000) -> None:
-        if n_bands < 1:
-            raise ValueError("need at least one priority band")
+        super().__init__(n_bands)
         if mark_threshold_bytes < 0:
             raise ValueError("mark threshold must be >= 0")
-        self.n_bands = n_bands
         self.mark_threshold_bytes = mark_threshold_bytes
-
-    def classify(self, pkt: Packet, q: ProgramQueue) -> int:
-        band = pkt.priority
-        if band < 0:
-            return 0
-        if band >= self.n_bands:
-            return self.n_bands - 1
-        return band
 
     def meter(self, pkt: Packet, q: ProgramQueue) -> bool:
         if (
@@ -169,8 +133,4 @@ class DctcpEcnProgram(DataplaneProgram):
             return True
         return False
 
-    def evict(self, pkt: Packet, q: ProgramQueue) -> int:
-        # List order is stamp order, so the newest entry of the highest
-        # band is that band's last occurrence.
-        bands = q.bands
-        return len(bands) - 1 - bands[::-1].index(max(bands))
+    evict = _evict_newest_of_highest_band

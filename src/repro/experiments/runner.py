@@ -81,7 +81,7 @@ def _resolve_tm(spec: ExperimentSpec, n_hosts: int, rng: SeededRng):
     return AllToAll(n_hosts)
 
 
-def _resolve_dataplane(spec: ExperimentSpec, proto, tuning: SimTuning):
+def _resolve_dataplane(spec: ExperimentSpec, proto):
     """(DataplaneBinding, switch queue factory, host queue factory).
 
     Each side runs the spec-level ``dataplane`` override if set, else
@@ -89,18 +89,13 @@ def _resolve_dataplane(spec: ExperimentSpec, proto, tuning: SimTuning):
     """
     from repro.dataplane import DataplaneBinding, get_dataplane
 
-    fused = tuning.fused_dataplane
     if spec.dataplane is not None:
         switch_prog = host_prog = get_dataplane(spec.dataplane)
     else:
         switch_prog = get_dataplane(proto.switch_dataplane)
         host_prog = get_dataplane(proto.host_dataplane)
     binding = DataplaneBinding(switch=switch_prog, host=host_prog)
-    return (
-        binding,
-        lambda cap: switch_prog.make_queue(cap, fused=fused),
-        lambda cap: host_prog.make_queue(cap, fused=fused),
-    )
+    return binding, switch_prog.make_queue, host_prog.make_queue
 
 
 def build_simulation(spec: ExperimentSpec) -> SimContext:
@@ -121,7 +116,7 @@ def build_simulation(spec: ExperimentSpec) -> SimContext:
     from repro.net.fattree import FatTreeConfig, FatTreeFabric
 
     fabric_cls = FatTreeFabric if isinstance(topo, FatTreeConfig) else Fabric
-    binding, switch_qf, host_qf = _resolve_dataplane(spec, proto, tuning)
+    binding, switch_qf, host_qf = _resolve_dataplane(spec, proto)
     fabric = fabric_cls(
         env,
         topo,

@@ -204,9 +204,8 @@ class ExperimentResult:
     #: None otherwise.  Plain data — survives pickling to workers.
     telemetry: Optional[Any] = None
     #: The SimTuning that actually ran: ``spec.tuning`` (or the
-    #: default) after the runner's vetoes, e.g. ``packet_pool=False``
-    #: when a hook retains packets, ``fused_dataplane=False`` when no
-    #: port runs a hand-fused queue.  Recorded as ``meta.tuning_effective``.
+    #: default) after the runner's veto: ``packet_pool=False`` when a
+    #: hook retains packets.  Recorded as ``meta.tuning_effective``.
     tuning_effective: Optional[Any] = None
 
     # ------------------------------------------------------------------

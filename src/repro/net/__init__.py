@@ -8,15 +8,13 @@ links with 200 ns propagation delay.
 Key pieces:
 
 * :mod:`repro.net.packet` — the packet and flow records.
-* :mod:`repro.net.queues` — commodity strict-priority drop-tail queues
-  and the pFabric priority-drop queue.
-* :mod:`repro.net.port` — an output port: queue + transmitter + link.
+* :mod:`repro.net.port` — an output port: queue + transmitter + link;
+  the queue is a :mod:`repro.dataplane` program's engine.
 * :mod:`repro.net.switch` / :mod:`repro.net.node` — switches and hosts.
 * :mod:`repro.net.topology` — builds the fabric and computes ideal FCTs.
 """
 
 from repro.net.packet import Flow, Packet, PacketType
-from repro.net.queues import PFabricQueue, PriorityQueue
 from repro.net.port import Port
 from repro.net.node import Host, Node
 from repro.net.switch import Switch
@@ -27,8 +25,6 @@ __all__ = [
     "Flow",
     "Packet",
     "PacketType",
-    "PriorityQueue",
-    "PFabricQueue",
     "Port",
     "Node",
     "Host",

@@ -29,15 +29,15 @@ Hot-path notes (see docs/PERFORMANCE.md):
 * *Cut-through at idle ports.*  A packet sent to an idle port with an
   empty queue, that fits the buffer, would be pushed and popped straight
   back out.  When the queue class declares ``cut_through = True`` (the
-  hand-fused :class:`~repro.net.queues.PriorityQueue` and
-  :class:`~repro.net.queues.PFabricQueue` and the generic
-  :class:`~repro.dataplane.ProgramQueue` do; hand-written queues that
-  do not declare it are always pushed) the port skips the queue and
-  starts serialization directly, with the same counters, high-water
-  marks and single sequence-number draw as the push-then-pop path.  A
-  queue with a ``through(pkt)`` method (``ProgramQueue``, whose stage
-  ledgers must see every packet) has it called first; which of the two
-  the cut path runs is bound at construction.
+  :class:`~repro.dataplane.ProgramQueue` engine every fabric port runs
+  does; hand-written queues that do not declare it are always pushed)
+  the port skips the queue and starts serialization directly, with the
+  same counters, high-water marks and single sequence-number draw as
+  the push-then-pop path.  A queue with a ``state`` stage ledger (the
+  engine's :class:`~repro.dataplane.PortState`) still sees the packet:
+  the port counts it classified, admitted and scheduled, and runs the
+  queue's ``meter`` stage if it has one, all inline, so the cut path
+  costs a program without a meter no call beyond ``_start``.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ class Port:
         "max_qlen_pkts",
         "fused",
         "cut_through",
-        "_cut",
+        "_ledger",
+        "_meter",
         "_tx_entry",
     )
 
@@ -118,10 +119,9 @@ class Port:
         # Whether an idle, empty queue may be bypassed; only queue
         # classes that declare it (see the module docstring).
         self.cut_through = getattr(queue, "cut_through", False) is True
-        self._cut = (
-            self._start if getattr(queue, "through", None) is None
-            else self._through_then_start
-        )
+        # What the cut path counts and runs in the queue's place.
+        self._ledger = getattr(queue, "state", None)
+        self._meter = getattr(queue, "meter", None)
         self._tx_entry: Optional[list] = None  # pending serialization event
 
     def connect(self, peer) -> None:
@@ -147,7 +147,16 @@ class Port:
                 self.max_qlen_bytes = pkt.size
             if not self.max_qlen_pkts:
                 self.max_qlen_pkts = 1
-            self._cut(pkt)
+            ledger = self._ledger
+            if ledger is not None:
+                # The stage ledger counts the packet as push-then-pop
+                # would; classify is a pure policy, so it is not run.
+                ledger.classified += 1
+                if self._meter is not None and self._meter(pkt, queue):
+                    ledger.marked += 1
+                ledger.admitted += 1
+                ledger.scheduled += 1
+            self._start(pkt)
             return
         dropped = queue.push(pkt)
         qbytes = queue.bytes_queued
@@ -212,11 +221,6 @@ class Port:
         self._tx_entry = entry
         heappush(env._heap, entry)
         env._live += 1
-
-    def _through_then_start(self, pkt: Packet) -> None:
-        """Cut path of a queue that keeps stage ledgers."""
-        self.queue.through(pkt)
-        self._start(pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
         self.bytes_sent += pkt.size

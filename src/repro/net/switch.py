@@ -3,7 +3,7 @@
 Switches here are deliberately dumb, mirroring the paper's commodity
 assumption: on receive, pick an output port (routing/spraying decision)
 and enqueue.  All interesting behaviour lives in the per-port queues
-(:mod:`repro.net.queues`) and in the routing closure installed by the
+(:mod:`repro.dataplane` programs) and in the routing closure installed by the
 topology builder (:mod:`repro.net.routing`).
 """
 

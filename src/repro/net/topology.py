@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional
 from repro.net.node import Host
 from repro.net.packet import Flow, Packet
 from repro.net.port import Port
-from repro.net.queues import PriorityQueue
 from repro.net.routing import SPRAY, make_core_route, make_tor_route
 from repro.net.switch import Switch
 from repro.sim.engine import EventLoop
@@ -36,8 +35,12 @@ HOP_NAMES = {1: "host NIC", 2: "ToR up", 3: "core", 4: "ToR down"}
 QueueFactory = Callable[[int], object]
 
 
-def _default_queue_factory(capacity_bytes: int) -> PriorityQueue:
-    return PriorityQueue(capacity_bytes)
+def _default_queue_factory(capacity_bytes: int):
+    # Imported here: repro.dataplane imports repro.net.packet, so a
+    # module-level import would close a cycle through repro.net.
+    from repro.dataplane import CommodityProgram
+
+    return CommodityProgram().make_queue(capacity_bytes)
 
 
 @dataclass

@@ -12,11 +12,10 @@ gauge set against its registry:
   ``bytes_sent`` deltas between consecutive snapshots;
 * per-hop drop totals — ``fabric.drops{hop=}``;
 * dataplane stage ledgers — run-level ``dataplane.<stage>`` totals over
-  every generic-engine port (classified / marked / admitted /
-  dropped_incoming / evicted / scheduled), plus per-port
-  ``dataplane.marked{hop=,port=}`` when port sampling is on.  Fused
-  reference queues carry no ledgers, so these only appear for runs on
-  the generic engine (e.g. DCTCP, or ``SimTuning(fused_dataplane=False)``);
+  every :class:`~repro.dataplane.ProgramQueue` port (classified /
+  marked / admitted / dropped_incoming / evicted / scheduled), plus
+  per-port ``dataplane.marked{hop=,port=}`` when port sampling is on,
+  for the ports whose program has a meter stage (only those can mark);
 * protocol instruments — each agent's :meth:`register_instruments`
   (a no-op on the base class) plus shared state such as the Fastpass
   arbiter, both duck-typed so this module never imports protocols.
@@ -79,8 +78,8 @@ def register_run_instruments(
 def _register_dataplane(
     registry: "InstrumentRegistry", ctx: "SimContext", *, sample_ports: bool
 ) -> None:
-    """Stage-ledger gauges for generic-engine (:class:`ProgramQueue`)
-    ports; a no-op when every port runs a fused reference queue."""
+    """Stage-ledger gauges for :class:`ProgramQueue` ports; a no-op for
+    a fabric of hand-written queues."""
     engine_ports = [
         port
         for port in ctx.fabric.all_ports()
@@ -103,6 +102,8 @@ def _register_dataplane(
         )
     if sample_ports:
         for port in engine_ports:
+            if getattr(port.queue, "meter", None) is None:
+                continue  # a program without a meter stage never marks
             registry.gauge(
                 "dataplane.marked",
                 lambda st=port.queue.state: st.marked,

@@ -1,7 +1,7 @@
 """pFabric endpoint.
 
 The transport half is deliberately simple — the clever part of pFabric
-lives in :class:`repro.net.queues.PFabricQueue` (priority drop and
+lives in :class:`repro.dataplane.PFabricProgram` (priority drop and
 starvation-avoidance dequeue), which this agent relies on at every hop
 *including its own NIC*.  The endpoint is a
 :class:`~repro.protocols.window.WindowAgent` that:

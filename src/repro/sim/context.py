@@ -138,15 +138,8 @@ class SimContext:
     # ------------------------------------------------------------------
     def effective_tuning(self) -> Any:
         """``tuning`` as the run executes it: ``packet_pool`` is the
-        pool's state after the runner's ``retains_packets`` veto, and
-        ``fused_dataplane`` holds only if some port actually runs a
-        hand-fused queue class (a program without a fused form, such as
-        DCTCP's, runs on the generic engine whatever the knob says)."""
-        from repro.net.queues import PFabricQueue, PriorityQueue
-
-        hand_fused = (PriorityQueue, PFabricQueue)
-        fused = any(isinstance(p.queue, hand_fused) for p in self.fabric.all_ports())
-        return replace(self.tuning, packet_pool=self.pool.enabled, fused_dataplane=fused)
+        pool's state after the runner's ``retains_packets`` veto."""
+        return replace(self.tuning, packet_pool=self.pool.enabled)
 
     @property
     def now(self) -> float:

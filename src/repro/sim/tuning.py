@@ -1,11 +1,10 @@
 """Hot-path tuning knobs for one simulation run.
 
 Every optimization in the per-packet hot path — the hierarchical timer
-wheel, fused per-hop port events, packet pooling and the hand-fused
-queue classes behind the reference dataplane programs — is
+wheel, fused per-hop port events and packet pooling — is
 behaviour-preserving by construction: a run's digest
 (:func:`repro.validate.digest.run_digest`) is byte-identical with any
-combination of these four knobs.  Every run executes in one process on
+combination of these three knobs.  Every run executes in one process on
 one event loop whatever the knobs say.  They exist as knobs anyway, for
 two reasons:
 
@@ -35,17 +34,8 @@ class SimTuning:
             arrival into one reused heap entry per hop.
         packet_pool: Recycle :class:`~repro.net.packet.Packet` objects
             through a freelist once they are delivered.
-        fused_dataplane: Let reference dataplane programs compile to
-            their hand-optimized queue classes
-            (:class:`~repro.net.queues.PriorityQueue` /
-            :class:`~repro.net.queues.PFabricQueue`) instead of running
-            on the generic :class:`~repro.dataplane.ProgramQueue`
-            engine.  Digest-inert like every other knob; turn off to
-            exercise the match-action reference semantics (with full
-            per-stage ledgers) on any protocol.
     """
 
     timer_wheel: bool = True
     fused_ports: bool = True
     packet_pool: bool = True
-    fused_dataplane: bool = True

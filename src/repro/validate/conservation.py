@@ -370,12 +370,11 @@ class ConservationAuditor(Auditor):
         self._record_high_water(ctx)
 
     def _reconcile_stage_ledgers(self, ctx) -> None:
-        """Audit the per-stage pipeline ledgers of generic-engine ports.
+        """Audit the per-stage pipeline ledgers of the engine's ports.
 
-        Fused reference queues carry no ledgers (the hot path stays
-        untouched), so these checks only fire for ports backed by a
+        The checks fire for every port backed by a
         :class:`repro.dataplane.ProgramQueue` — discovered by the
-        ``state`` attribute.  Marking is audited separately from the
+        ``state`` attribute; a hand-written queue has none.  Marking is audited separately from the
         drop columns: a marked packet is *not* a dropped packet, and
         both ledgers must conserve on their own (fault-layer drops
         happen on the link after the port, so they never appear here).

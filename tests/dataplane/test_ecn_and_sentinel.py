@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataplane import DctcpEcnProgram, ProgramQueue
+from repro.dataplane import CommodityProgram, DctcpEcnProgram, ProgramQueue
+from repro.dataplane.program import _NO_DROP
 from repro.net.packet import Flow, Packet, PacketType
-from repro.net.queues import _NO_DROP, PriorityQueue
 
 
 def data_pkt(size=1500, priority=1):
@@ -95,7 +95,7 @@ def test_threshold_and_band_validation():
 # ----------------------------------------------------------------------
 
 def test_no_drop_sentinel_compares_as_empty_list():
-    q = PriorityQueue(100_000)
+    q = ProgramQueue(CommodityProgram(), 100_000)
     assert q.push(data_pkt()) == []
 
 
@@ -130,7 +130,7 @@ def test_mutating_caller_is_caught_not_corrupting():
     """The regression this guards: a caller that appends to the empty
     push() result would silently poison every later no-drop return.
     Now it raises at the offending call site instead."""
-    q = PriorityQueue(100_000)
+    q = ProgramQueue(CommodityProgram(), 100_000)
     result = q.push(data_pkt())
     with pytest.raises(TypeError):
         result.append(data_pkt())

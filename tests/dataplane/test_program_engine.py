@@ -2,13 +2,13 @@
 
 Two kinds of coverage:
 
-* **reference equivalence at the edges** — the queue edge cases
+* **the engine against plain-loop models** — the queue edge cases
   (zero-byte budget, exact fit, eviction ties, starvation avoidance)
-  run against both the hand-written queue class and the generic
-  :class:`ProgramQueue` executing the matching reference program, so
-  the two implementations cannot drift apart on the corners;
+  run on :class:`ProgramQueue` with each reference program and on the
+  matching model in ``tests/dataplane/models.py``, and a Hypothesis
+  test drives the two side by side over random push/pop sequences;
 * **engine properties** — the per-stage ledgers the auditors reconcile,
-  and the registry plumbing.
+  stage binding, and the registry plumbing.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from hypothesis import example, given, strategies as st
 from repro.dataplane import (
     CommodityProgram,
     DataplaneProgram,
+    DctcpEcnProgram,
     PFabricProgram,
     ProgramQueue,
     available_dataplanes,
@@ -26,7 +27,7 @@ from repro.dataplane import (
     register_dataplane,
 )
 from repro.net.packet import Flow, Packet, PacketType
-from repro.net.queues import PFabricQueue, PriorityQueue
+from tests.dataplane.models import CommodityModel, DctcpModel, PFabricModel
 
 
 def make_pkt(size=1500, priority=1, remaining=0, flow=None, seq=0):
@@ -36,22 +37,22 @@ def make_pkt(size=1500, priority=1, remaining=0, flow=None, seq=0):
 
 
 def commodity_queue(kind, capacity):
-    if kind == "class":
-        return PriorityQueue(capacity)
+    if kind == "model":
+        return CommodityModel(capacity)
     return ProgramQueue(CommodityProgram(), capacity)
 
 
 def pfabric_queue(kind, capacity):
-    if kind == "class":
-        return PFabricQueue(capacity)
+    if kind == "model":
+        return PFabricModel(capacity)
     return ProgramQueue(PFabricProgram(), capacity)
 
 
 # ----------------------------------------------------------------------
-# Edge cases, both implementations
+# Edge cases, engine and model
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", ["class", "program"])
+@pytest.mark.parametrize("kind", ["model", "program"])
 @pytest.mark.parametrize("make_queue", [commodity_queue, pfabric_queue])
 def test_zero_byte_budget_drops_everything(kind, make_queue):
     q = make_queue(kind, 0)
@@ -62,7 +63,7 @@ def test_zero_byte_budget_drops_everything(kind, make_queue):
     assert q.pop() is None
 
 
-@pytest.mark.parametrize("kind", ["class", "program"])
+@pytest.mark.parametrize("kind", ["model", "program"])
 @pytest.mark.parametrize("make_queue", [commodity_queue, pfabric_queue])
 def test_exact_fit_push_is_admitted(kind, make_queue):
     """A packet that lands occupancy exactly on the budget is kept;
@@ -76,7 +77,7 @@ def test_exact_fit_push_is_admitted(kind, make_queue):
     assert q.bytes_queued == 3000
 
 
-@pytest.mark.parametrize("kind", ["class", "program"])
+@pytest.mark.parametrize("kind", ["model", "program"])
 def test_pfabric_eviction_tie_on_equal_remaining_drops_newest(kind):
     """Urgency ties break on arrival stamp: the newest (the incoming
     packet) is the victim, buffered packets survive."""
@@ -90,7 +91,7 @@ def test_pfabric_eviction_tie_on_equal_remaining_drops_newest(kind):
     assert len(q) == 2
 
 
-@pytest.mark.parametrize("kind", ["class", "program"])
+@pytest.mark.parametrize("kind", ["model", "program"])
 def test_pfabric_starvation_avoidance_sends_oldest_of_best_flow(kind):
     """The most urgent packet selects the *flow*; the flow's earliest
     queued packet is transmitted (pHost paper, footnote 1)."""
@@ -105,7 +106,7 @@ def test_pfabric_starvation_avoidance_sends_oldest_of_best_flow(kind):
     assert q.pop() is older
 
 
-@pytest.mark.parametrize("kind", ["class", "program"])
+@pytest.mark.parametrize("kind", ["model", "program"])
 def test_commodity_strict_priority_and_fifo(kind):
     q = commodity_queue(kind, 100_000)
     low = make_pkt(priority=3)
@@ -120,7 +121,7 @@ def test_commodity_strict_priority_and_fifo(kind):
     assert q.pop() is None
 
 
-@pytest.mark.parametrize("kind", ["class", "program"])
+@pytest.mark.parametrize("kind", ["model", "program"])
 def test_commodity_clamps_out_of_range_bands(kind):
     q = commodity_queue(kind, 100_000)
     q.push(make_pkt(priority=-3))
@@ -173,7 +174,7 @@ def test_engine_peek_matches_pop_without_removal():
     assert q.pop() is b
 
 
-@pytest.mark.parametrize("kind", ["class", "program"])
+@pytest.mark.parametrize("kind", ["model", "program"])
 def test_pfabric_peek_matches_pop_without_removal(kind):
     """peek() applies the dequeue rule, starvation avoidance included:
     it is not the head of the buffer."""
@@ -193,45 +194,80 @@ def test_pfabric_peek_matches_pop_without_removal(kind):
 
 
 # ----------------------------------------------------------------------
-# PFabricQueue against its specification, the pFabric program
+# The engine against the plain-loop models
 # ----------------------------------------------------------------------
 
 _FLOWS = [None] + [Flow(fid, 0, 1, 100_000, 0.0) for fid in (1, 2, 3)]
 
-_pfabric_ops = st.lists(
+_PAIRS = {
+    "commodity": (lambda cap: ProgramQueue(CommodityProgram(4), cap),
+                  lambda cap: CommodityModel(cap, n_bands=4)),
+    "pfabric": (lambda cap: ProgramQueue(PFabricProgram(), cap), PFabricModel),
+    "dctcp": (
+        lambda cap: ProgramQueue(DctcpEcnProgram(4, mark_threshold_bytes=1500), cap),
+        lambda cap: DctcpModel(cap, n_bands=4, mark_threshold_bytes=1500),
+    ),
+}
+
+_ops = st.lists(
     st.one_of(
         st.just(("pop",)),
         st.tuples(
             st.just("push"),
             st.sampled_from([40, 40, 700, 1500]),  # control packets and data
+            st.integers(min_value=-1, max_value=5),  # priority, clamped to 4 bands
             st.integers(min_value=0, max_value=4),  # few values: ties in remaining
             st.sampled_from(_FLOWS),
+            st.sampled_from([PacketType.DATA, PacketType.ACK]),
         ),
     ),
     max_size=120,
 )
 
 
-@given(_pfabric_ops, st.sampled_from([0, 1500, 3100, 6000]))
-@example([("push", 40, 3, None)] * 30 + [("push", 1500, 0, None)], 1500)  # 30 victims
-def test_pfabric_queue_matches_the_program_engine(ops, capacity):
+def _twins(serial, size, priority, remaining, flow, ptype):
+    """Two equal packets, one per queue, so marks stay comparable."""
+    pair = []
+    for _ in range(2):
+        pkt = Packet(ptype, flow, serial, 0, 1, size, priority=priority)
+        pkt.remaining = remaining
+        pair.append(pkt)
+    return pair
+
+
+def _seen(pkt):
+    return None if pkt is None else (pkt.seq, pkt.ecn)
+
+
+def _all_seen(pkts):
+    return [_seen(pkt) for pkt in pkts]
+
+
+@given(
+    st.sampled_from(sorted(_PAIRS)), _ops, st.sampled_from([0, 1500, 3100, 6000]),
+)
+@example(  # a 1500-byte arrival into 40-byte packets: 30 victims at once
+    "pfabric", [("push", 40, 1, 3, None, PacketType.DATA)] * 30
+    + [("push", 1500, 1, 0, None, PacketType.DATA)], 1500,
+)
+def test_programs_match_their_reference_models(name, ops, capacity):
     """Random push/pop sequences give the same drops, in the same
-    order, and the same dequeue order on the hand-written class and on
-    the generic engine running the reference program.  A 1500-byte
-    arrival into a buffer of 40-byte packets overflows by several
-    victims at once."""
-    fast = PFabricQueue(capacity)
-    spec = ProgramQueue(PFabricProgram(), capacity)
+    order, the same ECN marks and the same dequeue order on the engine
+    and on the program's plain-loop model."""
+    make_engine, make_model = _PAIRS[name]
+    engine, model = make_engine(capacity), make_model(capacity)
     for serial, op in enumerate(ops):
         if op[0] == "push":
-            _, size, remaining, flow = op
-            pkt = make_pkt(size, remaining=remaining, flow=flow, seq=serial)
-            assert fast.push(pkt) == spec.push(pkt)  # same victims, same order
+            mine, theirs = _twins(serial, *op[1:])
+            assert _all_seen(engine.push(mine)) == _all_seen(model.push(theirs))
         else:
-            assert fast.peek() is spec.peek()
-            assert fast.pop() is spec.pop()
-        assert fast.pkts == spec.pkts
-        assert (fast.bytes_queued, fast.pkts_queued) == (spec.bytes_queued, spec.pkts_queued)
+            assert _seen(engine.peek()) == _seen(model.peek())
+            assert _seen(engine.pop()) == _seen(model.pop())
+        assert _all_seen(engine.pkts) == _all_seen(model.pkts)
+        assert (engine.bytes_queued, engine.pkts_queued) == (
+            model.bytes_queued, model.pkts_queued,
+        )
+        assert engine.state.marked == model.marked
 
 
 def test_meter_mark_counts_without_dropping():
@@ -274,13 +310,34 @@ def test_external_registration_round_trips():
     assert "custom-test-program" in available_dataplanes()
 
 
-def test_reference_programs_compile_to_fused_queues():
-    commodity = get_dataplane("commodity")
-    pfabric = get_dataplane("pfabric")
-    dctcp = get_dataplane("dctcp")
-    assert isinstance(commodity.make_queue(1000, fused=True), PriorityQueue)
-    assert isinstance(pfabric.make_queue(1000, fused=True), PFabricQueue)
-    # no fused specialization for the plug-in: always the generic engine
-    assert isinstance(dctcp.make_queue(1000, fused=True), ProgramQueue)
-    assert isinstance(commodity.make_queue(1000, fused=False), ProgramQueue)
-    assert isinstance(pfabric.make_queue(1000, fused=False), ProgramQueue)
+def test_every_program_runs_on_the_engine():
+    """``make_queue`` builds the engine for every program, with only the
+    stages the program overrides bound."""
+    commodity = get_dataplane("commodity").make_queue(1000)
+    pfabric = get_dataplane("pfabric").make_queue(1000)
+    dctcp = get_dataplane("dctcp").make_queue(1000)
+    for queue, program in (
+        (commodity, CommodityProgram), (pfabric, PFabricProgram), (dctcp, DctcpEcnProgram),
+    ):
+        assert type(queue) is ProgramQueue and type(queue.program) is program
+        assert queue.capacity_bytes == 1000
+    assert commodity.meter is None and pfabric.meter is None
+    assert dctcp.meter is not None  # the only reference program that marks
+
+
+def test_inherited_stages_keep_their_contract():
+    """A program that overrides nothing is one FIFO band with
+    drop-tail, exactly as the stage defaults say."""
+
+    class Bare(DataplaneProgram):
+        name = "bare-test-program"
+
+    q = Bare().make_queue(3000)
+    a, b, c = make_pkt(priority=5), make_pkt(priority=0), make_pkt()
+    assert q.push(a) == [] and q.push(b) == []
+    assert q.push(c) == [c]
+    assert q.pop() is a and q.pop() is b and q.pop() is None
+    assert q.state.to_dict() == {
+        "classified": 3, "marked": 0, "admitted": 2,
+        "dropped_incoming": 1, "evicted": 0, "scheduled": 2,
+    }

@@ -2,13 +2,13 @@
 
 A :class:`Port` over a queue class that declares ``cut_through = True``
 skips the queue when a fitting packet finds the port idle and the queue
-empty.  The oracle is the same timed send sequence with the port's
-cut-through turned off, so every packet is pushed and popped, over the
-generic :class:`ProgramQueue` running the matching program: deliveries
-(with their ECN marks), port counters, high-water marks and the event
-loop's sequence counter must all come out identical, and a
-``ProgramQueue`` that cuts through must also leave the same stage
-ledgers.
+empty.  Two oracles replay the same timed send sequence with every
+packet pushed and popped: the program's plain-loop model
+(``tests/dataplane/models.py``), and the same :class:`ProgramQueue`
+with the port's cut-through turned off.  Deliveries (with their ECN
+marks), port counters, high-water marks and the event loop's sequence
+counter must all come out identical, and a ``ProgramQueue`` that cuts
+through must also leave the same stage ledgers.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from repro.dataplane import (
 )
 from repro.net.packet import Flow, Packet, PacketType
 from repro.net.port import Port
-from repro.net.queues import PFabricQueue, PriorityQueue
 from repro.sim.engine import EventLoop
+from tests.dataplane.models import CommodityModel, DctcpModel, PFabricModel
 
 RATE_BPS = 10e9
 PROP_S = 200e-9
@@ -93,14 +93,18 @@ def _run(queue, sends, pull_budget, cut_through=True):
 
 @given(_sends, st.sampled_from([1500, 3000, 6000]), st.sampled_from([0, 0, 3]))
 def test_cut_through_matches_the_program_engine(sends, capacity, pull_budget):
-    for fast, program in (
-        (PriorityQueue(capacity), CommodityProgram()),
-        (PFabricQueue(capacity), PFabricProgram()),
+    for program, model in (
+        (CommodityProgram(), CommodityModel(capacity)),
+        (PFabricProgram(), PFabricModel(capacity)),
+        (DctcpEcnProgram(mark_threshold_bytes=1500),
+         DctcpModel(capacity, mark_threshold_bytes=1500)),
+        # A zero threshold marks every DATA packet, cut through or not.
+        (DctcpEcnProgram(mark_threshold_bytes=0),
+         DctcpModel(capacity, mark_threshold_bytes=0)),
     ):
-        reference = ProgramQueue(program, capacity)
         assert (
-            _run(fast, sends, pull_budget)[:3]
-            == _run(reference, sends, pull_budget, cut_through=False)[:3]
+            _run(ProgramQueue(program, capacity), sends, pull_budget)[:3]
+            == _run(model, sends, pull_budget)[:3]
         )
 
 
@@ -110,17 +114,18 @@ def test_program_queue_cut_through_keeps_its_ledgers(sends, capacity, pull_budge
         CommodityProgram(),
         PFabricProgram(),
         DctcpEcnProgram(mark_threshold_bytes=1500),
+        DctcpEcnProgram(mark_threshold_bytes=0),
     ):
         cut = _run(ProgramQueue(program, capacity), sends, pull_budget)
         pushed = _run(ProgramQueue(program, capacity), sends, pull_budget, cut_through=False)
         assert cut == pushed
 
 
-class CountingQueue(PriorityQueue):
+class CountingQueue(ProgramQueue):
     __slots__ = ("pushes",)
 
     def __init__(self, capacity_bytes):
-        super().__init__(capacity_bytes)
+        super().__init__(CommodityProgram(), capacity_bytes)
         self.pushes = 0
 
     def push(self, pkt):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.packet import Flow, Packet, PacketType
 from repro.net.port import Port
-from repro.net.queues import PriorityQueue
+from repro.dataplane import CommodityProgram
 from repro.sim.engine import EventLoop
 
 
@@ -30,7 +30,7 @@ class TimedSink(Sink):
 
 
 def make_port(env, rate=10e9, prop=200e-9, cap=36_000, **kwargs):
-    port = Port(env, rate, prop, PriorityQueue(cap), **kwargs)
+    port = Port(env, rate, prop, CommodityProgram().make_queue(cap), **kwargs)
     sink = TimedSink(env)
     port.connect(sink)
     return port, sink
@@ -77,7 +77,7 @@ def test_drop_callback_reports_hop():
     env = EventLoop()
     drops = []
     port = Port(
-        env, 10e9, 0.0, PriorityQueue(3000), hop_index=4,
+        env, 10e9, 0.0, CommodityProgram().make_queue(3000), hop_index=4,
         on_drop=lambda pkt, hop: drops.append((pkt, hop)),
     )
     port.connect(Sink())
@@ -125,7 +125,7 @@ def test_kick_while_busy_is_harmless():
 
 def test_unconnected_port_drops_silently():
     env = EventLoop()
-    port = Port(env, 10e9, 0.0, PriorityQueue(36_000))
+    port = Port(env, 10e9, 0.0, CommodityProgram().make_queue(36_000))
     port.send(data_pkt())
     env.run()  # no exception
     assert port.pkts_sent == 1

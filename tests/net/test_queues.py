@@ -1,4 +1,6 @@
-"""Unit + property tests for the two queue disciplines."""
+"""Unit + property tests for the paper's two queue disciplines, as every
+port runs them: the commodity and pFabric programs on the
+:class:`~repro.dataplane.ProgramQueue` engine."""
 
 from __future__ import annotations
 
@@ -6,7 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.packet import Flow, Packet, PacketType
-from repro.net.queues import PFabricQueue, PriorityQueue
+from repro.dataplane import CommodityProgram, PFabricProgram, ProgramQueue
+
+
+def commodity(capacity_bytes, n_bands=8):
+    return ProgramQueue(CommodityProgram(n_bands), capacity_bytes)
+
+
+def pfabric(capacity_bytes):
+    return ProgramQueue(PFabricProgram(), capacity_bytes)
 
 
 def make_pkt(size=1500, priority=1, remaining=0, flow=None, seq=0):
@@ -16,11 +26,11 @@ def make_pkt(size=1500, priority=1, remaining=0, flow=None, seq=0):
 
 
 # ----------------------------------------------------------------------
-# PriorityQueue (commodity strict-priority, drop-tail)
+# CommodityProgram (strict-priority, drop-tail)
 # ----------------------------------------------------------------------
 
 def test_priority_queue_serves_bands_strictly():
-    q = PriorityQueue(capacity_bytes=100_000, n_bands=4)
+    q = commodity(100_000, n_bands=4)
     low = make_pkt(priority=3)
     mid = make_pkt(priority=1)
     high = make_pkt(priority=0)
@@ -34,7 +44,7 @@ def test_priority_queue_serves_bands_strictly():
 
 
 def test_priority_queue_fifo_within_band():
-    q = PriorityQueue(100_000)
+    q = commodity(100_000)
     first, second = make_pkt(priority=2), make_pkt(priority=2)
     q.push(first)
     q.push(second)
@@ -43,7 +53,7 @@ def test_priority_queue_fifo_within_band():
 
 
 def test_priority_queue_drop_tail_on_overflow():
-    q = PriorityQueue(capacity_bytes=3000)
+    q = commodity(3000)
     a, b = make_pkt(1500), make_pkt(1500)
     assert q.push(a) == []
     assert q.push(b) == []
@@ -53,7 +63,7 @@ def test_priority_queue_drop_tail_on_overflow():
 
 
 def test_priority_queue_out_of_range_bands_clamped():
-    q = PriorityQueue(100_000, n_bands=2)
+    q = commodity(100_000, n_bands=2)
     q.push(make_pkt(priority=-3))
     q.push(make_pkt(priority=99))
     assert len(q) == 2
@@ -62,11 +72,11 @@ def test_priority_queue_out_of_range_bands_clamped():
 
 def test_priority_queue_requires_a_band():
     with pytest.raises(ValueError):
-        PriorityQueue(1000, n_bands=0)
+        commodity(1000, n_bands=0)
 
 
 def test_priority_queue_small_control_fits_when_data_does_not():
-    q = PriorityQueue(capacity_bytes=1600)
+    q = commodity(1600)
     q.push(make_pkt(1500))
     dropped = q.push(make_pkt(1500))
     assert dropped  # data overflows
@@ -74,11 +84,11 @@ def test_priority_queue_small_control_fits_when_data_does_not():
 
 
 # ----------------------------------------------------------------------
-# PFabricQueue (priority drop / priority dequeue)
+# PFabricProgram (priority drop / priority dequeue)
 # ----------------------------------------------------------------------
 
 def test_pfabric_evicts_largest_remaining_on_overflow():
-    q = PFabricQueue(capacity_bytes=3000)
+    q = pfabric(3000)
     urgent = make_pkt(1500, remaining=1)
     bulk = make_pkt(1500, remaining=500)
     q.push(urgent)
@@ -90,7 +100,7 @@ def test_pfabric_evicts_largest_remaining_on_overflow():
 
 
 def test_pfabric_drops_incoming_when_it_is_least_urgent():
-    q = PFabricQueue(capacity_bytes=3000)
+    q = pfabric(3000)
     a = make_pkt(1500, remaining=1)
     b = make_pkt(1500, remaining=2)
     q.push(a)
@@ -100,7 +110,7 @@ def test_pfabric_drops_incoming_when_it_is_least_urgent():
 
 
 def test_pfabric_dequeues_most_urgent():
-    q = PFabricQueue(100_000)
+    q = pfabric(100_000)
     f1 = Flow(1, 0, 1, 10_000, 0.0)
     f2 = Flow(2, 0, 1, 10_000, 0.0)
     q.push(make_pkt(remaining=7, flow=f1, seq=0))
@@ -111,7 +121,7 @@ def test_pfabric_dequeues_most_urgent():
 def test_pfabric_starvation_avoidance_sends_oldest_of_best_flow():
     """The most urgent packet selects the flow; the flow's earliest
     queued packet is transmitted (pHost paper, footnote 1)."""
-    q = PFabricQueue(100_000)
+    q = pfabric(100_000)
     flow = Flow(1, 0, 1, 100_000, 0.0)
     older = make_pkt(remaining=9, flow=flow, seq=0)   # sent earlier, larger remaining
     newer = make_pkt(remaining=2, flow=flow, seq=7)   # more urgent stamp
@@ -124,7 +134,7 @@ def test_pfabric_starvation_avoidance_sends_oldest_of_best_flow():
 
 
 def test_pfabric_control_with_remaining_zero_never_dropped():
-    q = PFabricQueue(capacity_bytes=3000)
+    q = pfabric(3000)
     q.push(make_pkt(1500, remaining=5))
     bulk = make_pkt(1500, remaining=6)
     q.push(bulk)
@@ -136,7 +146,7 @@ def test_pfabric_control_with_remaining_zero_never_dropped():
 
 
 def test_pfabric_tie_break_drops_most_recent_arrival():
-    q = PFabricQueue(capacity_bytes=3000)
+    q = pfabric(3000)
     first = make_pkt(1500, remaining=5)
     second = make_pkt(1500, remaining=5)
     q.push(first)
@@ -162,7 +172,7 @@ def queue_ops(draw):
 @given(queue_ops(), st.sampled_from(["priority", "pfabric"]))
 def test_property_byte_accounting_and_capacity(ops, kind):
     cap = 6000
-    q = PriorityQueue(cap) if kind == "priority" else PFabricQueue(cap)
+    q = commodity(cap) if kind == "priority" else pfabric(cap)
     held = {}  # id -> packet: pushed, and neither dropped nor popped since
     for op, size, rem in ops:
         if op == "push":

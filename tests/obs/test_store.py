@@ -203,20 +203,31 @@ def test_entry_records_the_tuning_that_ran(tmp_path):
     assert kept_entry.key == bare_entry.key
 
 
-@pytest.mark.parametrize("overrides, fused", [
+@pytest.mark.parametrize("overrides, meterless", [
     ({}, True),
     ({"protocol": "pfabric"}, True),
     ({"protocol": "dctcp"}, False),
     ({"dataplane": "dctcp"}, False),
 ])
-def test_entry_records_the_dataplane_that_ran(tmp_path, overrides, fused):
-    """DCTCP's ECN program has no fused queue class, so its ports run
-    the generic engine whatever ``fused_dataplane`` asked for."""
-    result = run_experiment(_tiny_spec(**overrides))
-    assert result.tuning_effective.fused_dataplane is fused
+def test_entry_records_the_dataplane_that_ran(tmp_path, overrides, meterless):
+    """Every port runs the ProgramQueue engine: the entry's
+    ``tuning_effective`` holds the three tuning knobs and no queue form,
+    and its stored series has the six ``dataplane.*`` stage totals on
+    every run but per-port ``dataplane.marked`` columns only when the
+    program has a meter stage (DCTCP's ECN), the only one that marks."""
+    result = run_experiment(
+        _tiny_spec(observability=ObservabilityConfig(sample_period=50e-6), **overrides)
+    )
     entry = RunLedger(tmp_path / "ledger").put(result)
     assert entry.meta["tuning"] is None
-    assert entry.meta["tuning_effective"]["fused_dataplane"] is fused
+    assert entry.meta["tuning_effective"] == {
+        "timer_wheel": True, "fused_ports": True, "packet_pool": True,
+    }
+    names = entry.load_series().names()
+    for stage in ("classified", "marked", "admitted", "dropped_incoming", "evicted", "scheduled"):
+        assert f"dataplane.{stage}" in names
+    per_port = [n for n in names if n.startswith("dataplane.marked{")]
+    assert (not per_port) is meterless
 
 
 def test_family_hash_is_seed_blind():

@@ -7,7 +7,7 @@ import pytest
 from repro.experiments.runner import build_simulation
 from repro.experiments.spec import ExperimentSpec
 from repro.net.packet import Flow
-from repro.net.queues import PFabricQueue
+from repro.dataplane import PFabricProgram, ProgramQueue
 from repro.net.topology import TopologyConfig
 from repro.protocols.pfabric.config import PFabricConfig
 
@@ -33,8 +33,9 @@ def start(env, fabric, collector, flow):
 
 def test_nic_uses_pfabric_queue():
     env, fabric, collector, _ = pfabric_sim()
-    assert isinstance(fabric.hosts[0].port.queue, PFabricQueue)
-    assert isinstance(fabric.tors[0].ports[0].queue, PFabricQueue)
+    for queue in (fabric.hosts[0].port.queue, fabric.tors[0].ports[0].queue):
+        assert isinstance(queue, ProgramQueue)
+        assert isinstance(queue.program, PFabricProgram)
 
 
 def test_lone_flow_near_opt():

@@ -79,44 +79,6 @@ def test_protocols_produce_distinct_digests():
     assert len(set(digests)) == len(PROTOCOLS)
 
 
-def incast_digest_and_events(protocol: str, tuning=None):
-    """Smoke-size closed-loop incast (9 senders into one, tiny fabric):
-    one hot downlink and, for pFabric, over a thousand drops."""
-    from repro.experiments.defaults import SCALES
-    from repro.experiments.runner import run_incast
-    from repro.validate import incast_digest
-
-    class Probe:
-        def bind(self, ctx):
-            self.ctx = ctx
-
-    probe = Probe()
-    result = run_incast(
-        protocol, n_senders=9, total_bytes=1_000_000, n_requests=3,
-        topology=SCALES["tiny"].topology, seed=7, instruments=(probe,), tuning=tuning,
-    )
-    return incast_digest(result), probe.ctx.env.events_processed
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS + ["incast-pfabric", "incast-phost"])
-def test_generic_dataplane_engine_matches_fused_queues(protocol):
-    """The ProgramQueue engine is the semantic reference for the fused
-    queue classes (and the ports cut through only the latter): running
-    every protocol with ``SimTuning(fused_dataplane=False)`` must be
-    byte-identical to the optimized run.  (For dctcp the knob is vacuous
-    — it always runs the generic engine — which this test also pins.)
-    The incast cases also pin the exact event count."""
-    generic_tuning = SimTuning(fused_dataplane=False)
-    if protocol.startswith("incast-"):
-        protocol = protocol[len("incast-"):]
-        assert incast_digest_and_events(protocol, generic_tuning) == (
-            incast_digest_and_events(protocol)
-        )
-        return
-    generic = run_digest(run_experiment(spec(protocol, 5).variant(tuning=generic_tuning)))
-    assert generic == digest_of(protocol, 5)
-
-
 @pytest.mark.parametrize("seed", [5, 11])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_tuning_knobs_do_not_change_behaviour(protocol, seed):
@@ -135,9 +97,8 @@ def test_tuning_knobs_do_not_change_behaviour(protocol, seed):
         SimTuning(timer_wheel=False),
         SimTuning(fused_ports=False),
         SimTuning(packet_pool=False),
-        SimTuning(fused_dataplane=False),
     ],
-    ids=["no-wheel", "no-fusion", "no-pool", "no-fused-dataplane"],
+    ids=["no-wheel", "no-fusion", "no-pool"],
 )
 def test_each_tuning_knob_is_independently_inert(tuning):
     """Disable one optimization at a time: any digest drift localizes
