@@ -20,7 +20,7 @@ deltas per figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.experiments.spec import ExperimentSpec
@@ -111,7 +111,9 @@ def make_spec(
     """Build an :class:`ExperimentSpec` from a scale preset.
 
     Any spec field can be overridden by keyword (load, seed,
-    traffic_matrix, buffer_bytes, ...).
+    traffic_matrix, buffer_bytes, ...).  A ``topology`` given as a dict
+    (as a JSON spec file writes it) changes those fields of the preset's
+    topology; a name the topology does not have raises TypeError.
     """
     try:
         preset = SCALES[scale]
@@ -126,4 +128,6 @@ def make_spec(
         topology=preset.topology,
     )
     params.update(overrides)
+    if isinstance(params["topology"], dict):
+        params["topology"] = replace(preset.topology, **params["topology"])
     return ExperimentSpec(**params)

@@ -23,7 +23,6 @@ from repro.protocols.registry import get_protocol
 from repro.sim.context import SimContext
 from repro.sim.engine import EventLoop
 from repro.sim.randoms import SeededRng
-from repro.sim.tuning import SimTuning
 from repro.validate.base import AuditReport
 from repro.workloads.deadlines import assign_deadlines
 from repro.workloads.distributions import WORKLOADS, bimodal, fixed_size
@@ -106,9 +105,7 @@ def build_simulation(spec: ExperimentSpec) -> SimContext:
     shared state, instrumentation hooks).  Exposed so tests and custom
     drivers (incast, examples) can reuse the wiring.
     """
-    tuning = spec.tuning if spec.tuning is not None else SimTuning()
     env = EventLoop()
-    env.timer_wheel_enabled = tuning.timer_wheel
     rng = SeededRng(spec.seed)
     proto = get_protocol(spec.protocol)
     topo = spec.with_topology_buffer()
@@ -124,10 +121,7 @@ def build_simulation(spec: ExperimentSpec) -> SimContext:
         queue_factory=switch_qf,
         host_queue_factory=host_qf,
     )
-    if not tuning.fused_ports:
-        for port in fabric.all_ports():
-            port.fused = False
-    ctx = SimContext(env, rng, fabric, collector, tuning=tuning)
+    ctx = SimContext(env, rng, fabric, collector)
     ctx.dataplane = binding
     if spec.protocol_config is not None:
         config = spec.protocol_config
@@ -153,7 +147,7 @@ def build_simulation(spec: ExperimentSpec) -> SimContext:
     if any(getattr(h, "retains_packets", False) for h in ctx.hooks):
         # A hook that keeps packet references past delivery (or a
         # drop) makes recycling unsound; pooling turns off for this run
-        # (results record it in ``tuning_effective``).
+        # (results record it in ``packet_pool``).
         ctx.pool.enabled = False
     if ctx.pool.enabled:
         # Every end of a packet's life gives the packet back: delivery
@@ -319,7 +313,7 @@ def run_flow_list(
         fault_drops=getattr(fabric, "fault_drops_total", 0),
         audit=AuditReport.from_hooks(ctx.hooks),
         telemetry=Telemetry.report_from_hooks(ctx.hooks),
-        tuning_effective=ctx.effective_tuning(),
+        packet_pool=ctx.pool.enabled,
     )
     if result.telemetry is not None:
         # Self-describing series: spec hash / seed / git rev / wall time
@@ -347,8 +341,8 @@ class IncastResult:
     audit: Optional[AuditReport] = None
     #: ObsReport when ``observability`` was set; None otherwise.
     telemetry: Optional[Any] = None
-    #: The SimTuning that actually ran (see ExperimentResult).
-    tuning_effective: Optional[SimTuning] = None
+    #: Whether packets were recycled (see ExperimentResult).
+    packet_pool: bool = True
 
     @property
     def mean_rct(self) -> float:
@@ -369,7 +363,6 @@ def run_incast(
     protocol_config: Any = None,
     instruments: tuple = (),
     observability: Any = None,
-    tuning: Any = None,
     faults: Any = None,
 ) -> IncastResult:
     """Closed-loop incast: each request fans N senders into one receiver;
@@ -382,7 +375,6 @@ def run_incast(
         protocol_config=protocol_config,
         instruments=instruments,
         observability=observability,
-        tuning=tuning,
         faults=faults,
         seed=seed,
     )
@@ -392,7 +384,7 @@ def run_incast(
     pattern = IncastPattern(fabric.config.n_hosts, n_senders, total_bytes)
     result = IncastResult(
         n_senders=n_senders, total_bytes=total_bytes, n_requests=n_requests,
-        tuning_effective=ctx.effective_tuning(),
+        packet_pool=ctx.pool.enabled,
     )
 
     state: Dict[str, Any] = {"request": 0, "outstanding": 0, "start": 0.0, "next_fid": 0}
@@ -433,7 +425,7 @@ def run_incast(
         result.telemetry.meta = run_meta(
             spec,
             events_processed=env.events_processed,
-            tuning_effective=result.tuning_effective,
+            packet_pool=result.packet_pool,
         )
     return result
 

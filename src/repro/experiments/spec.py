@@ -80,11 +80,6 @@ class ExperimentSpec:
             (sampler / profiler / exporters per the config) and the
             result carries a plain-data
             :class:`~repro.obs.telemetry.ObsReport` in ``telemetry``.
-        tuning: Hot-path optimization switches
-            (:class:`~repro.sim.tuning.SimTuning`); None means all
-            optimizations on.  Results are byte-identical for any
-            setting — the knobs exist for the determinism suite and to
-            switch a fast path off in isolation.
         faults: Optional :class:`repro.faults.FaultPlan`.  A non-empty
             plan makes the runner attach a
             :class:`repro.faults.FaultInjector` hook; ``None`` or an
@@ -130,7 +125,6 @@ class ExperimentSpec:
     time_guard_factor: float = 20.0
     instruments: Tuple[Any, ...] = ()
     observability: Any = None
-    tuning: Any = None
     faults: Any = None
     trace: Optional[str] = None
     skew: Any = None
@@ -203,10 +197,10 @@ class ExperimentResult:
     #: ObsReport when spec.observability was set (see repro.obs);
     #: None otherwise.  Plain data — survives pickling to workers.
     telemetry: Optional[Any] = None
-    #: The SimTuning that actually ran: ``spec.tuning`` (or the
-    #: default) after the runner's veto: ``packet_pool=False`` when a
-    #: hook retains packets.  Recorded as ``meta.tuning_effective``.
-    tuning_effective: Optional[Any] = None
+    #: Whether packets were recycled through the run's freelist: False
+    #: when a hook retains packets (the runner then turns pooling
+    #: off).  Recorded as ``meta.packet_pool``.
+    packet_pool: bool = True
 
     # ------------------------------------------------------------------
     # Metric shortcuts (all over completed flows)

@@ -12,7 +12,9 @@ A spec file is a JSON object::
 
 Each experiment entry inherits ``defaults``, may carry a ``name`` (for
 reports) and a ``scale`` preset, and otherwise uses
-:func:`repro.experiments.defaults.make_spec` field names.  Run with::
+:func:`repro.experiments.defaults.make_spec` field names.  A
+``topology`` object changes the named fields of the preset's topology,
+e.g. ``"topology": {"oversubscription": 2.0}``.  Run with::
 
     phost-repro --batch experiments.json [--parallel N]
 """

@@ -62,7 +62,6 @@ class FatTreeConfig:
     propagation_delay: float = nsec(200)
     buffer_bytes: int = 36_000
     load_balancing: str = SPRAY
-    n_priority_bands: int = 8
 
     def __post_init__(self) -> None:
         if self.k < 2 or self.k % 2 != 0:

@@ -18,10 +18,7 @@ Three properties hold by construction:
 * a packet is released exactly where its life ends, and nowhere else:
   delivery (:meth:`repro.net.node.Host.receive`, after the agent has
   seen it), a queue drop (the fabric's ``_record_drop``, after the drop
-  hooks have run) and an injected drop (``record_fault_drop``).  While
-  ``fabric.keep_dropped`` is set the fabric holds dropped packets in
-  ``dropped_packets`` and does not release them, so the retained packets
-  keep their fields;
+  hooks have run) and an injected drop (``record_fault_drop``);
 * :meth:`release` resets every mutable field, so a reused packet is
   indistinguishable from a fresh one;
 * the freelist needs no cap.  A packet object is created only when the

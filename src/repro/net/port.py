@@ -22,10 +22,11 @@ Hot-path notes (see docs/PERFORMANCE.md):
   serialization done at the transmitter, arrival at the receiver — but
   only *one* freshly allocated heap entry.  When the serialization event
   fires, its just-popped entry is re-stamped in place as the
-  propagation/arrival event (``fused`` mode).  Sequence numbers are
-  drawn in the order of the naive path, so the ``(time, seq)`` event
-  order — and every run digest — is byte-identical with fusion on or
-  off.
+  propagation/arrival event.  Sequence numbers are drawn in the order
+  of the plain two-``schedule()`` hop, so the ``(time, seq)`` event
+  order — and every run digest — is that hop's.  The plain hop is kept
+  as a test model (``tests/net/models.py``) that the determinism suite
+  runs against this one.
 * *Cut-through at idle ports.*  A packet sent to an idle port with an
   empty queue, that fits the buffer, would be pushed and popped straight
   back out.  When the queue class declares ``cut_through = True`` (the
@@ -75,7 +76,6 @@ class Port:
         "pkts_dropped",
         "max_qlen_bytes",
         "max_qlen_pkts",
-        "fused",
         "cut_through",
         "_ledger",
         "_meter",
@@ -113,9 +113,6 @@ class Port:
         # what the buffer actually held).
         self.max_qlen_bytes = 0
         self.max_qlen_pkts = 0
-        # Fused transmission (heap-entry reuse); turn off to force the
-        # classic two-schedules-per-hop path.
-        self.fused = True
         # Whether an idle, empty queue may be bypassed; only queue
         # classes that declare it (see the module docstring).
         self.cut_through = getattr(queue, "cut_through", False) is True
@@ -203,10 +200,6 @@ class Port:
     def _start(self, pkt: Packet) -> None:
         """Begin serializing ``pkt`` on an idle port."""
         self.busy = True
-        if not self.fused:
-            tx = pkt.size * 8.0 / self.rate_bps
-            self._tx_entry = self.env.schedule(tx, self._tx_done, pkt)
-            return
         # Inlined schedule(): the serialization-done event is the single
         # hottest allocation in the simulator.
         env = self.env
@@ -226,13 +219,6 @@ class Port:
         self.bytes_sent += pkt.size
         self.pkts_sent += 1
         peer = self.peer
-        if not self.fused:
-            self._tx_entry = None
-            if peer is not None:
-                self.env.schedule(self.prop_delay, peer.receive, pkt)
-            self.busy = False
-            self._start_next()
-            return
         env = self.env
         heap = env._heap
         # `entry` is the serialization event that just fired (already
@@ -242,20 +228,16 @@ class Port:
         self._tx_entry = None
         if peer is not None:
             # The arrival's seq is drawn here — before the pop/pull, like
-            # the unfused schedule() call.
+            # the plain hop's schedule() call.
             env._seq += 1
-            t_arr = env.now + self.prop_delay
-            if entry is None:
-                entry = [t_arr, env._seq, peer.receive, (pkt,), env]
-            else:
-                entry[0] = t_arr
-                entry[1] = env._seq
-                entry[2] = peer.receive
-                entry[3] = (pkt,)
+            entry[0] = env.now + self.prop_delay
+            entry[1] = env._seq
+            entry[2] = peer.receive
+            entry[3] = (pkt,)
             heappush(heap, entry)
             env._live += 1
-        # Next departure.  The queue-then-pull order mirrors the unfused
-        # path; the port stays busy while the pull source decides.
+        # Next departure.  The queue-then-pull order mirrors the plain
+        # hop; the port stays busy while the pull source decides.
         queue = self.queue
         nxt = queue.pop() if queue.pkts_queued else None
         if nxt is None and self.pull_source is not None:

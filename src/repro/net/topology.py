@@ -58,7 +58,6 @@ class TopologyConfig:
     propagation_delay: float = nsec(200)
     buffer_bytes: int = 36_000
     load_balancing: str = SPRAY
-    n_priority_bands: int = 8
     #: Core oversubscription factor: 1.0 is the paper's full-bisection
     #: fabric; f > 1 divides every core link's rate by f.  The paper's
     #: §2.3 argument (spraying empties the core) assumes f = 1; the
@@ -137,8 +136,6 @@ class Fabric:
         self._queue_factory = queue_factory or _default_queue_factory
         self.drops_by_hop: Dict[int, int] = dict.fromkeys(self.hop_names, 0)
         self.drops_total = 0
-        self.dropped_packets: List[Packet] = []
-        self.keep_dropped = False  # tests can flip this on
         #: Called as ``hook(pkt, hop_index)`` on every congestion drop,
         #: in attach order; instruments subscribe by appending.
         self.drop_hooks: List[Callable[[Packet, int], None]] = []
@@ -220,13 +217,11 @@ class Fabric:
     def _record_drop(self, pkt: Packet, hop_index: int) -> None:
         self.drops_by_hop[hop_index] = self.drops_by_hop.get(hop_index, 0) + 1
         self.drops_total += 1
-        if self.keep_dropped:
-            self.dropped_packets.append(pkt)
         for hook in self.drop_hooks:
             hook(pkt, hop_index)
         # A drop is a packet's end of life, like delivery: once the
-        # hooks have seen it nothing refers to it, unless we keep it.
-        if self.pool is not None and not self.keep_dropped:
+        # hooks have seen it nothing refers to it.
+        if self.pool is not None:
             self.pool.release(pkt)
 
     def record_fault_drop(self, pkt: Packet, hop_index: int, reason: str = "fault") -> None:
@@ -320,7 +315,6 @@ class Fabric:
     def reset_counters(self) -> None:
         self.drops_by_hop = dict.fromkeys(self.hop_names, 0)
         self.drops_total = 0
-        self.dropped_packets = []
         self.fault_drops_by_hop = dict.fromkeys(self.hop_names, 0)
         self.fault_drops_total = 0
         self.fault_drops_by_reason = {}

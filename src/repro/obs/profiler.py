@@ -226,7 +226,6 @@ class EventLoopProfiler:
         if env is not None:
             out.update(env.wheel.stats())
             out["timers_to_heap"] = env.timers_to_heap
-            out["enabled"] = env.timer_wheel_enabled
         return out
 
     def sim_time_histogram(self, event_type: str) -> Optional[Histogram]:

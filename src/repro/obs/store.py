@@ -66,11 +66,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 #: Spec fields excluded from the hash: they configure *observation* of a
-#: run (or free-form tagging) or *how it executes* (``tuning`` is
-#: digest-inert by contract, tests/sim/test_determinism.py), never its
-#: behaviour — so a re-run of a stored cell under other knobs is a hit.
-#: The effective tuning is recorded in the entry's ``meta`` instead.
-_HASH_EXCLUDED_FIELDS = ("instruments", "observability", "label", "tuning")
+#: run (or free-form tagging), never its behaviour — so a re-run of a
+#: stored cell with other instruments is a hit.
+_HASH_EXCLUDED_FIELDS = ("instruments", "observability", "label")
 
 #: Directory names are the first 16 hex chars of each hash; the full
 #: hashes live in entry.json.
@@ -271,16 +269,16 @@ def _jsonable(value: Any) -> Any:
 def run_meta(
     spec: Any,
     *,
+    packet_pool: bool,
     run_digest: Optional[str] = None,
     wall_seconds: Optional[float] = None,
     duration: Optional[float] = None,
     events_processed: Optional[int] = None,
-    tuning_effective: Any = None,
 ) -> Dict[str, Any]:
     """Self-describing metadata block for one run of ``spec``.
 
-    ``tuning`` is the requested SimTuning (None for the default);
-    ``tuning_effective``, when given, is the one that actually ran.
+    ``packet_pool`` records whether the run recycled packets (False when
+    a hook retained them).
     """
     meta: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
@@ -291,7 +289,7 @@ def run_meta(
         "load": spec.load,
         "seed": spec.seed,
         "label": spec.label,
-        "tuning": None if spec.tuning is None else dataclasses.asdict(spec.tuning),
+        "packet_pool": packet_pool,
         "git_revision": git_revision(),
         "created_unix": time.time(),
     }
@@ -303,8 +301,6 @@ def run_meta(
         meta["duration"] = duration
     if events_processed is not None:
         meta["events_processed"] = events_processed
-    if tuning_effective is not None:
-        meta["tuning_effective"] = dataclasses.asdict(tuning_effective)
     return meta
 
 
@@ -320,7 +316,7 @@ def stamp_result_meta(result: Any) -> Dict[str, Any]:
         wall_seconds=result.wall_seconds,
         duration=result.duration,
         events_processed=result.events_processed,
-        tuning_effective=result.tuning_effective,
+        packet_pool=result.packet_pool,
     )
     if result.telemetry is not None:
         result.telemetry.meta = meta
@@ -498,7 +494,7 @@ class RunLedger:
                     wall_seconds=result.wall_seconds,
                     duration=result.duration,
                     events_processed=result.events_processed,
-                    tuning_effective=result.tuning_effective,
+                    packet_pool=result.packet_pool,
                 )
             ),
             "spec": payload,

@@ -80,7 +80,6 @@ class PHostConfig:
     token_rate_factor: float = 1.0
 
     # Resolved absolute times (seconds); populated by resolve().
-    mtu_time: float = field(default=0.0, repr=False)
     token_interval: float = field(default=0.0, repr=False)
     token_expiry: float = field(default=0.0, repr=False)
     downgrade_time: float = field(default=0.0, repr=False)
@@ -110,7 +109,6 @@ class PHostConfig:
         mtu = topo.mtu_tx_time
         return replace(
             self,
-            mtu_time=mtu,
             token_interval=mtu / self.token_rate_factor,
             token_expiry=self.token_expiry_mtus * mtu,
             downgrade_time=self.downgrade_mtus * mtu,

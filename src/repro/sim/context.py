@@ -16,14 +16,13 @@ spine that
   :class:`repro.obs.ChromeTraceSink`) bind to via ``bind(ctx)``,
   instead of being hand-wired to a (collector, fabric) pair.
 
-Future capabilities (observability hooks, fault injection, batched or
-parallel execution) extend this one object instead of widening five
-call chains.
+Capabilities a run gains later (the instrument registry, the packet
+pool, fault injection, the dataplane binding) hang off this one object
+instead of widening five call chains.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim <- net/metrics)
@@ -54,7 +53,6 @@ class SimContext:
         "shared",
         "hooks",
         "obs",
-        "tuning",
         "pool",
         "faults",
         "dataplane",
@@ -69,22 +67,17 @@ class SimContext:
         config: Any = None,
         shared: Any = None,
         hooks: Optional[List[Any]] = None,
-        tuning: Any = None,
     ) -> None:
         self.env = env
         self.rng = rng
         self.fabric = fabric
         self.collector = collector
-        #: Hot-path switches for this run (see :mod:`repro.sim.tuning`).
-        from repro.sim.tuning import SimTuning
-
-        self.tuning = tuning if tuning is not None else SimTuning()
         #: The run's packet freelist.  Created with the context and never
-        #: replaced (agents cache the reference); the runner flips
-        #: ``pool.enabled`` per the tuning and the attached hooks.
+        #: replaced (agents cache the reference); the runner turns
+        #: ``pool.enabled`` off when an attached hook retains packets.
         from repro.net.pool import PacketPool
 
-        self.pool = PacketPool(enabled=self.tuning.packet_pool)
+        self.pool = PacketPool(enabled=True)
         #: Resolved protocol configuration (e.g. a ``PHostConfig`` with
         #: absolute times computed for this topology).
         self.config = config
@@ -136,11 +129,6 @@ class SimContext:
         return [h for h in self.hooks if isinstance(h, cls)]
 
     # ------------------------------------------------------------------
-    def effective_tuning(self) -> Any:
-        """``tuning`` as the run executes it: ``packet_pool`` is the
-        pool's state after the runner's ``retains_packets`` veto."""
-        return replace(self.tuning, packet_pool=self.pool.enabled)
-
     @property
     def now(self) -> float:
         """Current simulation time (convenience passthrough)."""

@@ -17,8 +17,9 @@ instead of the heap: O(1) schedule and cancel, corpses swept in place,
 no compaction churn.  The wheel pours due timers back into the heap
 carrying the sequence number they drew at schedule time, so the global
 ``(time, seq)`` dispatch order — and therefore every run digest — is
-byte-identical to a pure-heap run.  ``timer_wheel_enabled = False`` is
-the escape hatch that routes timers straight to the heap.
+byte-identical to a pure-heap run.  Timers due within one wheel tick or
+beyond the wheel's horizon go straight to the heap.  The tests hold the
+wheel to :meth:`schedule_at` as its reference.
 
 There is one dispatch loop, :meth:`EventLoop.run`.  An installed
 profiler (:meth:`EventLoop.set_profiler`) is fed from a branch at the
@@ -77,15 +78,12 @@ class EventLoop:
             cancelled entries are not counted).
         wheel: The hierarchical timer wheel backing
             :meth:`schedule_timer`.
-        timer_wheel_enabled: When False, :meth:`schedule_timer` degrades
-            to plain heap scheduling (the pure-heap escape hatch).
     """
 
     __slots__ = (
         "now",
         "events_processed",
         "wheel",
-        "timer_wheel_enabled",
         "timers_to_heap",
         "_heap",
         "_seq",
@@ -100,7 +98,6 @@ class EventLoop:
         self.now: float = 0.0
         self.events_processed: int = 0
         self.wheel = TimerWheel(self, timer_resolution)
-        self.timer_wheel_enabled: bool = True
         self.timers_to_heap: int = 0  # schedule_timer calls the wheel declined
         self._heap: List[list] = []
         self._seq: int = 0
@@ -149,11 +146,10 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule timer in the past: {when} < now={self.now}"
             )
-        if self.timer_wheel_enabled:
-            entry = self.wheel.schedule(when, fn, args)
-            if entry is not None:
-                return entry
-            self.timers_to_heap += 1
+        entry = self.wheel.schedule(when, fn, args)
+        if entry is not None:
+            return entry
+        self.timers_to_heap += 1
         self._seq += 1
         entry = [when, self._seq, fn, args, self]
         heapq.heappush(self._heap, entry)

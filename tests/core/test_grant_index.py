@@ -23,6 +23,8 @@ from repro.protocols.phost.policies import make_policy
 from repro.sim.engine import EventLoop
 
 ME = 1  # the destination's host id
+TOPO = TopologyConfig.small()
+MTU = TOPO.mtu_tx_time  # one MTU's serialization time on a host link
 POLICIES = ["srpt", "edf", "fifo", "tenant_fair"]
 
 
@@ -65,7 +67,7 @@ def _destination(policy_name, scan, downgrade_mtus=8.0):
     config = PHostConfig(
         free_tokens=2, downgrade_threshold=3, downgrade_mtus=downgrade_mtus,
         grant_policy=policy_name,
-    ).resolve(TopologyConfig.small())
+    ).resolve(TOPO)
     dest = PHostDestination(_Agent(), config, make_policy(policy_name))
     if scan:
         dest._ranked = None  # the oracle: policy.select over the eligible scan
@@ -96,7 +98,7 @@ def _apply(dest, flows, op):
     elif kind == "data":
         dest.on_data(Packet(PacketType.DATA, flow, arg % flow.n_pkts, flow.src, ME, 1500))
     elif kind == "advance":  # in units of a fifth of an MTU time: ticks land on and off grid
-        env.run(until=env.now + (1 + arg) * dest.config.mtu_time / 5)
+        env.run(until=env.now + (1 + arg) * MTU / 5)
     elif state is None:
         return
     elif kind == "regrant":
@@ -144,7 +146,7 @@ def test_grant_index_grants_what_the_scan_grants(policy_name, ops, downgrade_mtu
         _apply(oracle, oracle_flows, op)
         assert indexed.agent.sent == oracle.agent.sent
     for dest in (indexed, oracle):  # drain: long enough for downgrades and reissues
-        dest.env.run(until=dest.env.now + 200 * dest.config.mtu_time)
+        dest.env.run(until=dest.env.now + 200 * MTU)
     assert indexed.agent.sent == oracle.agent.sent
     assert indexed.env.events_processed == oracle.env.events_processed
     assert indexed.tokens_granted == oracle.tokens_granted

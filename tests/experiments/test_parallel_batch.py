@@ -115,3 +115,33 @@ def test_cli_batch_error_path(tmp_path, capsys):
     path = _write_batch(tmp_path, {"experiments": [{"name": "x"}]})
     assert main(["--batch", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_spec_file_topology_changes_the_presets_fields(tmp_path):
+    path = _write_batch(tmp_path, {"experiments": [{
+        "protocol": "phost", "workload": "imc10", "scale": "tiny",
+        "topology": {"n_racks": 2, "oversubscription": 2.0},
+    }]})
+    ((_, spec),) = load_spec_file(path)
+    preset = make_spec("phost", "imc10", "tiny").topology
+    assert (spec.topology.n_racks, spec.topology.oversubscription) == (2, 2.0)
+    assert spec.topology.hosts_per_rack == preset.hosts_per_rack
+
+
+def test_topology_has_no_priority_band_count(tmp_path, capsys):
+    """The band count is the switch program's (``CommodityProgram``);
+    a topology field for it would be silently ignored, so there is
+    none, and a spec file that sets one is refused before anything
+    runs."""
+    from repro.net.fattree import FatTreeConfig
+    from repro.net.topology import TopologyConfig
+
+    for config in (TopologyConfig, FatTreeConfig):
+        with pytest.raises(TypeError):
+            config(n_priority_bands=2)
+    path = _write_batch(tmp_path, {"experiments": [{
+        "name": "bands", "protocol": "phost", "workload": "imc10",
+        "scale": "tiny", "topology": {"n_priority_bands": 2},
+    }]})
+    assert main(["--batch", str(path)]) == 2
+    assert "bands:" in capsys.readouterr().err

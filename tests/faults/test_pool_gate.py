@@ -54,7 +54,7 @@ def test_corruption_run_completes_with_clean_audits():
     assert result.n_completed == result.n_flows
     assert result.audit.ok, result.audit.summary()
     assert result.fault_drops > 0
-    assert result.tuning_effective.packet_pool is False  # the veto is on record
+    assert result.packet_pool is False  # the veto is on record
 
 
 def test_injector_retains_corrupted_packets():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.net.packet import Flow, PacketType
 from repro.net.pool import PacketPool
+from tests.net.models import RetainsPackets
 
 
 def make_flow(fid=1, n_pkts=4):
@@ -64,15 +65,9 @@ def test_runner_disables_pooling_for_packet_retaining_hooks():
     from repro.experiments.defaults import make_spec
     from repro.experiments.runner import build_simulation
 
-    class Keeper:
-        retains_packets = True
-
-        def bind(self, ctx):
-            return self
-
     spec = make_spec("phost", "websearch", "tiny", seed=42)
     assert build_simulation(spec).pool.enabled
-    keeper_ctx = build_simulation(spec.variant(instruments=(Keeper(),)))
+    keeper_ctx = build_simulation(spec.variant(instruments=(RetainsPackets(),)))
     assert not keeper_ctx.pool.enabled
     assert all(h.pool is None for h in keeper_ctx.fabric.hosts)
     assert keeper_ctx.fabric.pool is None  # the drop path stays out of it too
@@ -114,11 +109,13 @@ def test_freelist_is_bounded():
 # A drop ends a packet's life too
 # ----------------------------------------------------------------------
 
-def _pfabric_ctx():
+def _pfabric_ctx(instruments=()):
     from repro.experiments.defaults import make_spec
     from repro.experiments.runner import build_simulation
 
-    return build_simulation(make_spec("pfabric", "websearch", "tiny", seed=42))
+    return build_simulation(
+        make_spec("pfabric", "websearch", "tiny", seed=42, instruments=instruments)
+    )
 
 
 def _overflow_nic(ctx, flow):
@@ -143,12 +140,23 @@ def test_dropped_packet_slot_is_reused_by_the_next_acquire():
     assert ctx.pool.reused == 1
 
 
-def test_keep_dropped_retains_packets_with_their_fields():
-    ctx = _pfabric_ctx()
-    ctx.fabric.keep_dropped = True  # flipped after construction, read per drop
+class DropKeeper(RetainsPackets):
+    """Keeps every congestion-dropped packet; declares it, so the runner
+    turns the pool off."""
+
+    def __init__(self):
+        self.kept = []
+
+    def bind(self, ctx):
+        ctx.fabric.drop_hooks.append(lambda pkt, hop: self.kept.append(pkt))
+
+
+def test_retaining_drop_hook_keeps_packets_with_their_fields():
+    keeper = DropKeeper()
+    ctx = _pfabric_ctx(instruments=(keeper,))
     flow = make_flow(n_pkts=100)
     sent = _overflow_nic(ctx, flow)
-    (kept,) = ctx.fabric.dropped_packets
+    (kept,) = keeper.kept
     assert kept is sent[-1]
     assert kept.flow is flow and kept.seq == len(sent) - 1 and kept.remaining == kept.seq
     nxt = ctx.pool.data(flow, 99, flow.src, flow.dst, 1500, 1, 0.0)

@@ -8,6 +8,7 @@ from repro.net.packet import Flow, Packet, PacketType
 from repro.net.port import Port
 from repro.dataplane import CommodityProgram
 from repro.sim.engine import EventLoop
+from tests.net.models import use_two_event_hop
 
 
 class Sink:
@@ -158,29 +159,36 @@ def test_high_water_reflects_post_drop_occupancy():
     assert port.max_qlen_pkts <= 2
 
 
-def test_fused_and_classic_paths_deliver_identically():
+def _fused_then_two_event(monkeypatch, run):
+    """``run()`` on the port's fused hop, then on the plain two-event
+    hop (tests/net/models.py); returns both outcomes."""
+    fused = run()
+    use_two_event_hop(monkeypatch)
+    return fused, run()
+
+
+def test_fused_and_classic_paths_deliver_identically(monkeypatch):
     """Fusion (entry reuse + inline drain) is pure mechanics: arrival
     times, delivery order, and port counters must match the classic
     two-schedules-per-hop path exactly."""
-    outcomes = []
-    for fused in (True, False):
+
+    def run():
         env = EventLoop()
         port, sink = make_port(env)
-        port.fused = fused
         for seq in range(8):
             port.send(data_pkt(1500 if seq % 2 else 700, seq=seq))
         env.schedule_at(2e-6, port.send, data_pkt(40, priority=0, seq=100))
         env.run()
-        outcomes.append(
-            (
-                [p.seq for p in sink.received],
-                sink.times,
-                port.bytes_sent,
-                port.pkts_sent,
-                env.events_processed,
-            )
+        return (
+            [p.seq for p in sink.received],
+            sink.times,
+            port.bytes_sent,
+            port.pkts_sent,
+            env.events_processed,
         )
-    assert outcomes[0] == outcomes[1]
+
+    fused, classic = _fused_then_two_event(monkeypatch, run)
+    assert fused == classic
 
 
 def test_fused_backlog_delivers_in_order_two_events_per_packet():
@@ -196,26 +204,27 @@ def test_fused_backlog_delivers_in_order_two_events_per_packet():
     assert env.events_processed == 100
 
 
-def test_pull_timing_unchanged_by_fusion():
+def test_pull_timing_unchanged_by_fusion(monkeypatch):
     """The pull decision happens at serialization-done time on both
     paths (the receiver must not be able to influence it mid-hop)."""
-    pull_times = []
-    for fused in (True, False):
+
+    def run():
         env = EventLoop()
         port, sink = make_port(env)
-        port.fused = fused
         budget = [3]
+        pull_times = []
 
         def pull():
             if budget[0]:
                 budget[0] -= 1
-                pull_times.append((fused, round(env.now * 1e9)))
+                pull_times.append(round(env.now * 1e9))
                 return data_pkt(1500, seq=10 - budget[0])
             return None
 
         port.pull_source = pull
         port.kick()
         env.run()
-    fused_t = [t for f, t in pull_times if f]
-    classic_t = [t for f, t in pull_times if not f]
+        return pull_times
+
+    fused_t, classic_t = _fused_then_two_event(monkeypatch, run)
     assert fused_t == classic_t

@@ -40,6 +40,7 @@ from repro.obs.store import (
     spec_hash,
 )
 from repro.validate import run_digest
+from tests.net.models import RetainsPackets
 
 
 def _tiny_spec(**overrides) -> ExperimentSpec:
@@ -149,56 +150,34 @@ def test_spec_hash_stable_and_seed_sensitive():
     assert spec_hash(_tiny_spec()) != spec_hash(_tiny_spec(load=0.7))
 
 
-def test_spec_hash_blind_to_observation_label_and_tuning(tmp_path):
-    from repro.sim.tuning import SimTuning
-
+def test_spec_hash_blind_to_observation_and_label(tmp_path):
     bare = _tiny_spec(stability_samples=0)
     observed = bare.variant(
         observability=ObservabilityConfig(sample_period=50e-6), label="x"
     )
     assert spec_hash(bare) == spec_hash(observed)
-    # ``tuning`` is digest-inert by contract, so it must not key the
-    # ledger either.
-    for tuning in (SimTuning(), SimTuning(timer_wheel=False), SimTuning(fused_ports=False)):
-        assert spec_hash(bare) == spec_hash(bare.variant(tuning=tuning))
-        assert family_hash(bare) == family_hash(bare.variant(tuning=tuning))
+    assert family_hash(bare) == family_hash(observed)
 
-    # A re-run of a stored cell under other knobs is an idempotent
-    # re-put; the entry keeps the tuning it was first run with in ``meta``.
+    # A re-run of a stored cell under another label is an idempotent
+    # re-put.
     ledger = RunLedger(tmp_path / "ledger")
     default = ledger.put(run_experiment(bare))
-    unfused = ledger.put(
-        run_experiment(bare.variant(tuning=SimTuning(fused_ports=False)))
-    )
-    assert unfused.key == default.key
+    relabelled = ledger.put(run_experiment(bare.variant(label="x")))
+    assert relabelled.key == default.key
     assert len(ledger.entries()) == 1
-    assert unfused.meta["tuning"] is None
-    explicit = RunLedger(tmp_path / "explicit").put(
-        run_experiment(bare.variant(tuning=SimTuning(timer_wheel=False)))
-    )
-    assert explicit.key == default.key
-    assert explicit.meta["tuning"]["timer_wheel"] is False
 
 
-def test_entry_records_the_tuning_that_ran(tmp_path):
-    """A packet-retaining hook vetoes pooling.  The requested tuning
-    (None: the default) cannot show that; ``tuning_effective`` does,
-    without moving the ledger key."""
-
-    class PacketKeeper:
-        retains_packets = True
-
-        def bind(self, ctx):
-            return self
-
+def test_entry_records_whether_the_pool_ran(tmp_path):
+    """A packet-retaining hook turns pooling off.  The spec cannot show
+    that; ``meta.packet_pool`` does, without moving the ledger key."""
     bare = _tiny_spec()
-    kept = bare.variant(instruments=(PacketKeeper(),))
+    kept = bare.variant(instruments=(RetainsPackets(),))
     bare_entry = RunLedger(tmp_path / "bare").put(run_experiment(bare))
     kept_entry = RunLedger(tmp_path / "kept").put(run_experiment(kept))
-    assert bare_entry.meta["tuning"] is None and kept_entry.meta["tuning"] is None
-    assert bare_entry.meta["tuning_effective"]["packet_pool"] is True
-    assert kept_entry.meta["tuning_effective"]["packet_pool"] is False
-    assert kept_entry.meta["tuning_effective"]["fused_ports"] is True
+    assert bare_entry.meta["packet_pool"] is True
+    assert kept_entry.meta["packet_pool"] is False
+    for entry in (bare_entry, kept_entry):
+        assert "tuning" not in entry.meta and "tuning_effective" not in entry.meta
     assert kept_entry.spec_hash == bare_entry.spec_hash
     assert kept_entry.key == bare_entry.key
 
@@ -210,19 +189,17 @@ def test_entry_records_the_tuning_that_ran(tmp_path):
     ({"dataplane": "dctcp"}, False),
 ])
 def test_entry_records_the_dataplane_that_ran(tmp_path, overrides, meterless):
-    """Every port runs the ProgramQueue engine: the entry's
-    ``tuning_effective`` holds the three tuning knobs and no queue form,
-    and its stored series has the six ``dataplane.*`` stage totals on
-    every run but per-port ``dataplane.marked`` columns only when the
-    program has a meter stage (DCTCP's ECN), the only one that marks."""
+    """Every port runs the ProgramQueue engine: the entry's meta names
+    no queue form and no tuning, and its stored series has the six
+    ``dataplane.*`` stage totals on every run but per-port
+    ``dataplane.marked`` columns only when the program has a meter stage
+    (DCTCP's ECN), the only one that marks."""
     result = run_experiment(
         _tiny_spec(observability=ObservabilityConfig(sample_period=50e-6), **overrides)
     )
     entry = RunLedger(tmp_path / "ledger").put(result)
-    assert entry.meta["tuning"] is None
-    assert entry.meta["tuning_effective"] == {
-        "timer_wheel": True, "fused_ports": True, "packet_pool": True,
-    }
+    assert entry.meta["packet_pool"] is True
+    assert "tuning" not in entry.meta and "tuning_effective" not in entry.meta
     names = entry.load_series().names()
     for stage in ("classified", "marked", "admitted", "dropped_incoming", "evicted", "scheduled"):
         assert f"dataplane.{stage}" in names
@@ -247,7 +224,7 @@ def test_runner_stamps_obsreport_meta(observed_result):
     assert meta["protocol"] == "phost"
     assert meta["events_processed"] == observed_result.events_processed
     assert meta["wall_seconds"] == observed_result.wall_seconds
-    assert meta["tuning_effective"]["packet_pool"] is True
+    assert meta["packet_pool"] is True
     assert "git_revision" in meta
 
 

@@ -15,6 +15,7 @@ from repro.experiments.cli import main
 from repro.experiments.defaults import SCALES
 from repro.experiments.runner import run_incast
 from repro.obs import ObservabilityConfig, validate_chrome_trace
+from tests.net.models import use_two_event_hop
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +109,14 @@ def test_cli_text_mode_prints_summary(capsys):
     assert "samples" in out.lower()
 
 
-def _link_util_readings(tuning) -> dict:
+def _link_util_readings() -> dict:
     from repro import ExperimentSpec, TopologyConfig
     from repro.experiments.runner import run_flow_list
     from repro.net.packet import Flow
 
     spec = ExperimentSpec(
         protocol="phost", workload="fixed:1", n_flows=1, topology=TopologyConfig.small(),
-        seed=1, observability=ObservabilityConfig(sample_period=100e-6), tuning=tuning,
+        seed=1, observability=ObservabilityConfig(sample_period=100e-6),
     )
     result = run_flow_list(spec, [Flow(0, 0, 5, 400 * 1460, 0.0)])
     series = result.telemetry.series
@@ -125,22 +126,22 @@ def _link_util_readings(tuning) -> dict:
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
-def test_link_util_never_reads_above_line_rate(fused):
+def test_link_util_never_reads_above_line_rate(fused, monkeypatch):
     """A busy link's utilization counts the part of the packet on the
-    wire, so a window never reads more than the link can carry."""
-    from repro.sim.tuning import SimTuning
-
-    readings = _link_util_readings(SimTuning(fused_ports=fused))
+    wire, so a window never reads more than the link can carry, on the
+    fused hop and on the plain two-event one (tests/net/models.py)."""
+    if not fused:
+        use_two_event_hop(monkeypatch)
+    readings = _link_util_readings()
     # The destination's downlink is saturated for most of the flow.
     assert max(readings["link.util{hop=4,port=tor1.down.h5}"]) > 0.99
     assert max(max(col) for col in readings.values()) <= 1.0 + 1e-9
 
 
-def test_link_util_is_blind_to_port_fusion():
-    """The ledger keys fused and unfused runs of one spec as one entry,
-    so their telemetry must agree."""
-    from repro.sim.tuning import SimTuning
-
-    assert _link_util_readings(SimTuning()) == _link_util_readings(
-        SimTuning(fused_ports=False)
-    )
+def test_link_util_is_blind_to_port_fusion(monkeypatch):
+    """``link.util`` reads the in-flight packet off the port's pending
+    serialization event; the plain two-event hop keeps that event too,
+    so both hops give the same series."""
+    fused = _link_util_readings()
+    use_two_event_hop(monkeypatch)
+    assert fused == _link_util_readings()

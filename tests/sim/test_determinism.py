@@ -15,13 +15,28 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.spec import ExperimentSpec
 from repro.net.topology import TopologyConfig
 from repro.sim.randoms import SeededRng
-from repro.sim.tuning import SimTuning
 from repro.validate import run_digest
+from tests.net.models import RetainsPackets, use_heap_timers, use_two_event_hop
 
 PROTOCOLS = ["phost", "pfabric", "fastpass", "ideal", "dctcp"]
 
-#: The pre-optimization path: timer wheel, fused ports and pool all off.
-KNOBS_OFF = SimTuning(timer_wheel=False, fused_ports=False, packet_pool=False)
+#: The hot paths' plain references (tests/net/models.py).
+REFERENCES = ("no-wheel", "no-fusion", "no-pool")
+
+
+def plain_digest(spec, monkeypatch, references=REFERENCES) -> str:
+    """Digest of ``spec`` run with the named hot paths swapped for
+    their plain forms: timers on the heap, two events per hop, and no
+    packet pool.  Patches hold until the calling test ends."""
+    if "no-wheel" in references:
+        use_heap_timers(monkeypatch)
+    if "no-fusion" in references:
+        use_two_event_hop(monkeypatch)
+    if "no-pool" in references:
+        spec = spec.variant(instruments=spec.instruments + (RetainsPackets(),))
+    result = run_experiment(spec)
+    assert result.packet_pool is ("no-pool" not in references)
+    return run_digest(result)
 
 
 def spec(protocol="phost", seed=5):
@@ -81,30 +96,20 @@ def test_protocols_produce_distinct_digests():
 
 @pytest.mark.parametrize("seed", [5, 11])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_tuning_knobs_do_not_change_behaviour(protocol, seed):
-    """The hot-path optimizations (timer wheel, fused ports, packet
-    pooling) are pure performance: with everything OFF
-    the digest must be byte-identical to the optimized reference run."""
-    baseline = run_digest(
-        run_experiment(spec(protocol, seed).variant(tuning=KNOBS_OFF))
-    )
-    assert baseline == digest_of(protocol, seed)
+def test_tuning_knobs_do_not_change_behaviour(protocol, seed, monkeypatch):
+    """The hot paths (timer wheel, fused ports, packet pooling) are
+    pure performance: with all three swapped for their plain forms the
+    digest must be byte-identical to the real run's."""
+    expected = digest_of(protocol, seed)  # computed before any patch
+    assert plain_digest(spec(protocol, seed), monkeypatch) == expected
 
 
-@pytest.mark.parametrize(
-    "tuning",
-    [
-        SimTuning(timer_wheel=False),
-        SimTuning(fused_ports=False),
-        SimTuning(packet_pool=False),
-    ],
-    ids=["no-wheel", "no-fusion", "no-pool"],
-)
-def test_each_tuning_knob_is_independently_inert(tuning):
-    """Disable one optimization at a time: any digest drift localizes
-    the misbehaving fast path immediately."""
-    fresh = run_digest(run_experiment(spec("phost", 5).variant(tuning=tuning)))
-    assert fresh == digest_of("phost", 5)
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_each_tuning_knob_is_independently_inert(reference, monkeypatch):
+    """Swap one hot path at a time: any digest drift localizes the
+    misbehaving fast path immediately."""
+    expected = digest_of("phost", 5)
+    assert plain_digest(spec("phost", 5), monkeypatch, (reference,)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -157,13 +162,11 @@ def test_figt_workload_differs_from_flat_workload():
     assert figt_digest_of("phost", 5) != digest_of("phost", 5)
 
 
-def test_figt_tuning_baseline_is_inert():
-    """Optimization knobs stay pure-performance on adversarial
-    workloads too."""
-    baseline = run_digest(
-        run_experiment(figt_spec("phost", 5).variant(tuning=KNOBS_OFF))
-    )
-    assert baseline == figt_digest_of("phost", 5)
+def test_figt_tuning_baseline_is_inert(monkeypatch):
+    """The hot paths stay pure performance on adversarial workloads
+    too."""
+    expected = figt_digest_of("phost", 5)
+    assert plain_digest(figt_spec("phost", 5), monkeypatch) == expected
 
 
 def test_traced_replay_matches_generated_run(tmp_path):

@@ -252,9 +252,10 @@ _TIE_OPS = st.lists(
 def _run_tie_program(ops, profiler, wheel, step):
     """Execute a schedule program in ``run(max_events=step)`` slices
     (``None`` = one ``run(until=1.0)`` then ``run()``); returns the
-    execution log, ``events_processed`` and the final clock."""
+    execution log, ``events_processed`` and the final clock.  Timers go
+    through the wheel when ``wheel`` is set, else as plain heap events."""
     env = EventLoop()
-    env.timer_wheel_enabled = wheel
+    schedule_timer_at = env.schedule_timer_at if wheel else env.schedule_at
     env.set_profiler(profiler)
     log = []
     handles = []
@@ -290,7 +291,7 @@ def _run_tie_program(ops, profiler, wheel, step):
         elif kind == "cancel_next":
             handles.append(env.schedule_at(when, cancel_one, f"cx{i}"))
         elif kind == "timer":
-            handles.append(env.schedule_timer_at(when + 1e-6 * payload, fire, f"tm{i}"))
+            handles.append(schedule_timer_at(when + 1e-6 * payload, fire, f"tm{i}"))
         elif kind == "chain":
             handles.append(env.schedule_at(when, chain, f"ch{i}", payload))
         else:
@@ -367,12 +368,12 @@ def test_timer_poured_at_a_ties_own_timestamp_orders_by_seq():
 
     def program(wheel):
         env = EventLoop()
-        env.timer_wheel_enabled = wheel
+        schedule_timer = env.schedule_timer if wheel else env.schedule
         log = []
 
         def parker():
             log.append("parker")
-            env.schedule_timer(0.0, log.append, "timer")
+            schedule_timer(0.0, log.append, "timer")
             env.schedule_at(env.now, log.append, "after-timer")
 
         env.schedule_at(1.0, parker)

@@ -30,14 +30,15 @@ times = st.floats(
 
 
 def _run_both(schedule_plan, cancel_idx=frozenset()):
-    """Run the same plan with the wheel on and off; return both traces."""
+    """Run the same plan once as timers (through the wheel) and once as
+    plain heap events (``schedule_at``); return both traces."""
     traces = []
-    for enabled in (True, False):
+    for as_timers in (True, False):
         env = EventLoop(timer_resolution=RES)
-        env.timer_wheel_enabled = enabled
+        schedule = env.schedule_timer_at if as_timers else env.schedule_at
         fired = []
         handles = [
-            env.schedule_timer_at(when, lambda i=i, w=when: fired.append((i, w)))
+            schedule(when, lambda i=i, w=when: fired.append((i, w)))
             for i, when in enumerate(schedule_plan)
         ]
         for idx in cancel_idx:
