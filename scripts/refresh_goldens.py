@@ -7,9 +7,10 @@ with the change::
 
     PYTHONPATH=src python scripts/refresh_goldens.py
 
-The digests are defined in :mod:`tests.validate.test_golden_trace`; this
-script runs the same tiny-scale scenarios, verifies they pass every
-auditor, and rewrites ``tests/validate/golden_digests.json``.  It then
+The digests are defined in :mod:`tests.validate.test_golden_trace` (the
+tiny-scale scenarios) and :mod:`tests.net.test_fattree` (the fat-tree
+pins); this script runs the same scenarios, verifies the tiny ones pass
+every auditor, and rewrites ``tests/validate/golden_digests.json``.  It then
 reruns every figure at tiny scale (about two minutes) and rewrites
 ``tests/experiments/figure_pins.json``
 (:mod:`tests.experiments.test_figure_pins`).
@@ -26,6 +27,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO))
 
 from tests.experiments.test_figure_pins import PINS_PATH, compute_pins  # noqa: E402
+from tests.net.test_fattree import compute_fat_tree_digests  # noqa: E402
 from tests.validate.test_golden_trace import GOLDEN_PATH, compute_goldens  # noqa: E402
 
 
@@ -36,6 +38,7 @@ def main() -> int:
             print(f"refusing to refresh: {name} fails its audit", file=sys.stderr)
             print(report.summary(), file=sys.stderr)
             return 1
+    digests.update(compute_fat_tree_digests())
     GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     for name, digest in sorted(digests.items()):
         print(f"{name}: {digest}")

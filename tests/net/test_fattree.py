@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.experiments.runner import run_experiment
@@ -11,6 +13,7 @@ from repro.net.packet import Flow, Packet, PacketType
 from repro.sim.engine import EventLoop
 from repro.sim.randoms import SeededRng
 from repro.validate import run_digest
+from tests.validate.test_golden_trace import GOLDEN_PATH
 
 
 class Recorder:
@@ -155,28 +158,24 @@ def test_bigger_radix_builds():
     assert len(fabric.cores) == 9
 
 
-#: Unfaulted run digests of tiny imc10 runs (100 flows, seed 7) on the
-#: fat-tree, recorded before the fat-tree became a subclass of
-#: ``Fabric`` routed by ``repro.net.routing``: the rewiring must leave
-#: every spray draw, ECMP hash and port construction where it was.
-FAT_TREE_DIGESTS = {
-    (4, "spray", "phost"): "aa20eafef1f2dee0242d5ac5ce596f51a07001093346ac90020c145b55635160",
-    (4, "spray", "pfabric"): "96501164256b5f2db1694d700ec597588a83eee57b1e58bf89f2418623b26dbe",
-    (4, "spray", "fastpass"): "8e7f0f0fb6339bce8f70aecaea1ea922a653f728a33fbb7c91d2c0b06f81c899",
-    (4, "ecmp", "phost"): "832b8557e19ffd3af72a1999b5821bfc424fce6dd293ae7ba0f3598d3caad87d",
-    (4, "ecmp", "pfabric"): "4bb903ed88777bbf6962e74bdcab5d8a91e5df3ba0b005b7aba3789d5f2d9321",
-    (4, "ecmp", "fastpass"): "fef72ad647fe3d5cfe4757743bba3ab7dbde0e8ee3d1b3ef0e5d2608b1ad3895",
-    (6, "spray", "phost"): "25af2cac3841736a7a4f7d97508c4811547afd3a8eef97258ba4a59eaa17ee6c",
-    (6, "spray", "pfabric"): "8d3e920d3cd1db0e2bbfdbba2b71f140c801f469fc38f7ea333e577af0296c7c",
-    (6, "spray", "fastpass"): "33dbe27a52301451490175e3cb0ada579d64fa6defd2252e3570f8a6c2c62171",
-    (6, "ecmp", "phost"): "8a368e62f396d4ca70aa96bf089e8513c99d0b925bc27481f1d25a0a8beabc12",
-    (6, "ecmp", "pfabric"): "03fe314c0e21a4d6ea05f5f9470e6cc02a400fae93b9cc340cc5f8d7975642ef",
-    (6, "ecmp", "fastpass"): "67fe36aa6d096d76bf5f3b8ea26b56118e7ffcff5f77e8f42e220dadf29d6628",
-}
+#: Unfaulted tiny imc10 runs (100 flows, seed 7) on the fat-tree whose
+#: run digests are pinned in ``tests/validate/golden_digests.json``
+#: (rewritten by ``scripts/refresh_goldens.py``): spray draws, ECMP
+#: hashes and port construction must stay where they are.
+FAT_TREE_CASES = [
+    (k, lb, protocol)
+    for k in (4, 6)
+    for lb in ("ecmp", "spray")
+    for protocol in ("fastpass", "pfabric", "phost")
+]
 
 
-@pytest.mark.parametrize("k,lb,protocol", sorted(FAT_TREE_DIGESTS))
-def test_unfaulted_fat_tree_digest_is_pinned(k, lb, protocol):
+def fat_tree_key(k: int, lb: str, protocol: str) -> str:
+    """The case's name in ``golden_digests.json``."""
+    return f"fattree-k{k}-{lb}-{protocol}-imc10-seed7"
+
+
+def fat_tree_digest(k: int, lb: str, protocol: str) -> str:
     spec = ExperimentSpec(
         protocol=protocol,
         workload="imc10",
@@ -186,4 +185,15 @@ def test_unfaulted_fat_tree_digest_is_pinned(k, lb, protocol):
         max_flow_bytes=120_000,
         seed=7,
     )
-    assert run_digest(run_experiment(spec)) == FAT_TREE_DIGESTS[(k, lb, protocol)]
+    return run_digest(run_experiment(spec))
+
+
+def compute_fat_tree_digests() -> dict:
+    """Every fat-tree pin, keyed as in ``golden_digests.json``."""
+    return {fat_tree_key(*case): fat_tree_digest(*case) for case in FAT_TREE_CASES}
+
+
+@pytest.mark.parametrize("k,lb,protocol", FAT_TREE_CASES)
+def test_unfaulted_fat_tree_digest_is_pinned(k, lb, protocol):
+    goldens = json.loads(GOLDEN_PATH.read_text())
+    assert fat_tree_digest(k, lb, protocol) == goldens[fat_tree_key(k, lb, protocol)]
