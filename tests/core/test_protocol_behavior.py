@@ -124,6 +124,36 @@ def test_lost_data_recovered_by_token_reissue():
     assert collector.data_pkts_retransmitted >= 1
 
 
+def test_reissue_checks_pause_while_nothing_is_outstanding(monkeypatch):
+    """In an incast most senders wait their turn with every granted
+    packet delivered, so their reissue checks stop re-arming; a grant
+    resumes them at the time the always-armed poll would have checked,
+    so the run is the poll's run with fewer events."""
+    from repro.experiments.defaults import SCALES
+    from repro.experiments.runner import run_incast
+    from repro.obs.profiler import EventLoopProfiler
+    from repro.validate import incast_digest
+    from tests.net.models import use_polling_reissue
+
+    def run():
+        profiler = EventLoopProfiler()
+        result = run_incast(
+            "phost", n_senders=9, total_bytes=1_000_000, n_requests=3,
+            topology=SCALES["tiny"].topology, seed=42, instruments=(profiler,),
+        )
+        checks = sum(
+            row["count"] for name, row in profiler.by_type().items()
+            if name.endswith("_reissue_check")
+        )
+        return incast_digest(result), checks
+
+    paused = run()
+    use_polling_reissue(monkeypatch)
+    polled = run()
+    assert paused[0] == polled[0]
+    assert paused[1] < polled[1]
+
+
 def test_unresponsive_source_gets_downgraded():
     """A source that sits on its tokens must be downgraded after a BDP's
     worth of unresponded tokens (paper §3.2)."""

@@ -16,22 +16,30 @@ from repro.experiments.spec import ExperimentSpec
 from repro.net.topology import TopologyConfig
 from repro.sim.randoms import SeededRng
 from repro.validate import run_digest
-from tests.net.models import RetainsPackets, use_heap_timers, use_two_event_hop
+from tests.net.models import (
+    RetainsPackets,
+    use_heap_timers,
+    use_polling_reissue,
+    use_two_event_hop,
+)
 
 PROTOCOLS = ["phost", "pfabric", "fastpass", "ideal", "dctcp"]
 
 #: The hot paths' plain references (tests/net/models.py).
-REFERENCES = ("no-wheel", "no-fusion", "no-pool")
+REFERENCES = ("no-wheel", "no-fusion", "no-pool", "polling-reissue")
 
 
 def plain_digest(spec, monkeypatch, references=REFERENCES) -> str:
     """Digest of ``spec`` run with the named hot paths swapped for
-    their plain forms: timers on the heap, two events per hop, and no
-    packet pool.  Patches hold until the calling test ends."""
+    their plain forms: timers on the heap, two events per hop, no
+    packet pool, and pHost reissue checks that always re-arm.  Patches
+    hold until the calling test ends."""
     if "no-wheel" in references:
         use_heap_timers(monkeypatch)
     if "no-fusion" in references:
         use_two_event_hop(monkeypatch)
+    if "polling-reissue" in references:
+        use_polling_reissue(monkeypatch)
     if "no-pool" in references:
         spec = spec.variant(instruments=spec.instruments + (RetainsPackets(),))
     result = run_experiment(spec)
@@ -97,9 +105,10 @@ def test_protocols_produce_distinct_digests():
 @pytest.mark.parametrize("seed", [5, 11])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_tuning_knobs_do_not_change_behaviour(protocol, seed, monkeypatch):
-    """The hot paths (timer wheel, fused ports, packet pooling) are
-    pure performance: with all three swapped for their plain forms the
-    digest must be byte-identical to the real run's."""
+    """The hot paths (timer wheel, one-event hop, packet pooling, the
+    pHost reissue poll) are pure performance: with all four swapped for
+    their plain forms the digest must be byte-identical to the real
+    run's."""
     expected = digest_of(protocol, seed)  # computed before any patch
     assert plain_digest(spec(protocol, seed), monkeypatch) == expected
 
