@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.net.topology import Fabric, TopologyConfig
 from repro.sim.engine import EventLoop
 from repro.sim.randoms import SeededRng
+
+# ``pytest --hypothesis-profile=ci`` gives the differential spec fuzz
+# (tests/sim/test_differential_fuzz.py) this budget instead of tier 1's.
+settings.register_profile("ci", max_examples=60)
 
 
 @pytest.fixture
