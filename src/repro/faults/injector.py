@@ -5,8 +5,10 @@ The injector is an ordinary instrument hook (``ctx.add_hook``); the
 runner installs it only for non-empty plans, which is what makes the
 empty plan byte-identical to no plan at all.  It interposes on links by
 replacing each transmitting port's ``peer`` with a :class:`_LinkTap`
-(ports re-read ``self.peer`` on every serialization-done event, so the
-swap covers every packet sent after it).  A tapped
+(a port binds its arrival to ``self.peer`` when serialization starts,
+so the swap covers every packet started after it; the tap decides at
+the arrival, so a link that goes down mid-serialization still drops
+the packet).  A tapped
 packet is dropped *after* the port's send counters ran — from the
 fabric's point of view the packet died on the wire, so the per-port
 conservation ledger keeps balancing and only the end-to-end ledger

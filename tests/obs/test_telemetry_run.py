@@ -129,7 +129,7 @@ def _link_util_readings() -> dict:
 def test_link_util_never_reads_above_line_rate(fused, monkeypatch):
     """A busy link's utilization counts the part of the packet on the
     wire, so a window never reads more than the link can carry, on the
-    fused hop and on the plain two-event one (tests/net/models.py)."""
+    one-event hop and on the plain two-event one (tests/net/models.py)."""
     if not fused:
         use_two_event_hop(monkeypatch)
     readings = _link_util_readings()
@@ -139,9 +139,10 @@ def test_link_util_never_reads_above_line_rate(fused, monkeypatch):
 
 
 def test_link_util_is_blind_to_port_fusion(monkeypatch):
-    """``link.util`` reads the in-flight packet off the port's pending
-    serialization event; the plain two-event hop keeps that event too,
-    so both hops give the same series."""
+    """``link.util`` reads the in-flight packet through ``busy_until``
+    and the seq of the event being dispatched; the plain two-event hop
+    reads it off its pending serialization-done event, and both hops
+    give the same series."""
     fused = _link_util_readings()
     use_two_event_hop(monkeypatch)
     assert fused == _link_util_readings()
