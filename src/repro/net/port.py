@@ -8,10 +8,10 @@ paths exist:
   be dropped there).  Switches and push-based transports (pFabric) use
   this.
 * a *pull source* — when the port goes idle and its queue is empty it
-  asks ``pull_source()`` for the next packet.  pHost and Fastpass
-  sources use this so the host picks what to send per packet at line
-  rate instead of building a standing NIC queue (the receiver-driven
-  model of the paper).
+  asks ``pull_source()`` for the next packet.  The pHost NIC uses this
+  (``nic_pull`` exists only on ``PHostAgent``) so the host picks what
+  to send per packet at line rate instead of building a standing NIC
+  queue (the receiver-driven model of the paper).
 
 Control packets pushed into the queue always win over pulled data
 because the queue is drained first.
@@ -26,12 +26,20 @@ Hot-path notes (see docs/PERFORMANCE.md):
   of serialization plus propagation, under s + 1, and records
   ``busy_until`` (the end of serialization), s and the packet's size.
   An end-of-serialization event exists only when something must be
-  decided then: a packet waits in the queue, the port has a pull
-  source (the pull source picks the next packet when serialization
-  ends), or the port is unconnected.  It is the wake-up
-  ``[busy_until, s, _start_next, ()]``, pushed by ``_start`` or by the
-  first ``send`` that queues behind the packet on the wire, so a port
-  that nothing waits behind costs one event per hop.
+  decided then: a packet waits in the queue, the pull source may have
+  work (see below), or the port is unconnected.  It is the wake-up
+  ``[busy_until, s, _start_next, ()]``, pushed by ``_start``, by the
+  first ``send`` that queues behind the packet on the wire, or by a
+  ``kick()`` while busy, so a port that nothing waits behind costs one
+  event per hop.
+* *Pull on demand.*  ``pull_ready`` says the pull source may have work
+  the port has not pulled.  It starts True, is set True before each
+  pull and by every ``kick()``, and is cleared when a pull returns
+  nothing; a source may also clear it while returning its last packet
+  for now.  A source that gains work must ``kick()``.  Until then the
+  port does not ask it: a pull at the end of serialization would find
+  nothing, which is what the two-event hop, asking at every end of
+  serialization, confirms.
 * *Reads through the end of serialization.*  The port is busy while
   ``(now, seq of the event being dispatched)`` has not passed
   ``(busy_until, s)``, which is exactly when the plain two-event hop
@@ -82,6 +90,7 @@ class Port:
         "peer",
         "on_drop",
         "pull_source",
+        "pull_ready",
         "busy_until",
         "pkts_enqueued",
         "pkts_pulled",
@@ -117,6 +126,10 @@ class Port:
         self.peer = None  # object exposing .receive(pkt)
         self.on_drop = on_drop
         self.pull_source: Optional[PullSource] = None
+        # Whether the pull source may have work not yet pulled (see the
+        # module docstring); a source that never clears it is asked at
+        # every end of serialization.
+        self.pull_ready = True
         # The packet last started: its end of serialization, the seq s
         # reserved for that instant, and its size.
         self.busy_until = float("-inf")
@@ -249,15 +262,25 @@ class Port:
     # Pull path
     # ------------------------------------------------------------------
     def kick(self) -> None:
-        """Notify the port that new work may be available.
+        """Notify the port that its pull source may have new work.
 
-        Harmless if the port is busy: a port with a pull source asks it
-        again when serialization ends, and one without gets its work
-        through :meth:`send`, which schedules that wake-up itself.
+        An idle port pulls at once.  A busy one pulls when serialization
+        ends: if no wake-up is pending, the kick pushes it at
+        ``(busy_until, s)``, the seq ``_start`` reserved, so arming it
+        late reorders nothing.
         """
+        self.pull_ready = True
         until = self.busy_until
         env = self.env
-        if until < env.now or (until == env.now and env._seq_now > self._tx_seq):
+        if until > env.now or (until == env.now and env._seq_now < self._tx_seq):
+            wake = self._wake
+            if wake[2] is None:
+                wake[0] = until
+                wake[1] = self._tx_seq
+                wake[2] = self._start_next
+                heappush(env._heap, wake)
+                env._live += 1
+        elif until < env.now or env._seq_now > self._tx_seq:
             self._start_next()
 
     # ------------------------------------------------------------------
@@ -268,12 +291,15 @@ class Port:
         Also the end-of-serialization (wake-up) event."""
         queue = self.queue
         pkt = queue.pop() if queue.pkts_queued else None
-        if pkt is None and self.pull_source is not None:
-            pkt = self.pull_source()
-            if pkt is not None:
-                self.pkts_pulled += 1
         if pkt is None:
-            return
+            if self.pull_source is None:
+                return
+            self.pull_ready = True
+            pkt = self.pull_source()
+            if pkt is None:
+                self.pull_ready = False
+                return
+            self.pkts_pulled += 1
         self._start(pkt)
 
     def _start(self, pkt: Packet) -> None:
@@ -295,7 +321,7 @@ class Port:
             # allocation in the simulator.
             heappush(heap, [end + self.prop_delay, seq + 1, peer.receive, (pkt,), env])
             env._live += 1
-            if self.pull_source is None and not self.queue.pkts_queued:
+            if (self.pull_source is None or not self.pull_ready) and not self.queue.pkts_queued:
                 return
         # The port is idle, so its last wake-up has fired: re-stamp it.
         wake = self._wake

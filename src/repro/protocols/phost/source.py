@@ -13,7 +13,8 @@ Robustness beyond the happy path (paper §3.4 leaves these implicit):
   state from the first data packet);
 * after the last packet has been sent once, an ACK-check timer
   retransmits the RTS if no ACK arrives, prompting the destination to
-  either re-ACK (ACK was lost) or re-issue tokens (data was lost).
+  either re-ACK (ACK was lost) or re-issue tokens (data was lost); the
+  ACK cancels it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.protocols.phost.config import PHostConfig
 from repro.protocols.phost.policies import SchedulingPolicy, TenantCounters
 from repro.protocols.phost.tokens import SourceFlowState, Token
 from repro.net.packet import Flow, Packet, PacketType
+from repro.sim.engine import EventLoop
 
 __all__ = ["PHostSource"]
 
@@ -35,6 +37,7 @@ class PHostSource:
         self.agent = agent
         self.env = agent.env
         self.pool = agent.pool
+        self.port = agent.host.port
         self.config = config
         self.policy = spend_policy
         self.flows: Dict[int, SourceFlowState] = {}
@@ -107,6 +110,7 @@ class PHostSource:
         state = self.flows.pop(pkt.flow.fid, None)
         if state is not None:
             state.done = True
+            EventLoop.cancel(state.ack_timer)
             self.tokens_received_retired += state.tokens_received
             self.tokens_spent_retired += state.tokens_spent
             self.tokens_expired_retired += state.tokens_expired_n
@@ -116,6 +120,10 @@ class PHostSource:
     # NIC pull (Algorithm 1, "idle": pick a token, send its packet)
     # ------------------------------------------------------------------
     def next_data_packet(self) -> Optional[Packet]:
+        """The next data packet, or None.  When the packet returned is
+        the last one any flow can send for now, clear the port's
+        ``pull_ready``: new work comes only with a flow or a token,
+        and both kick the NIC."""
         now = self.env.now
         candidates = []
         for state in self.flows.values():
@@ -132,9 +140,13 @@ class PHostSource:
             state = self.policy.select(candidates, self.tenant_sent)
         if state.tokens:
             token = state.pop_token()
-            return self._make_data(state, token.seq, token.priority)
-        seq = state.take_free_seq()
-        return self._make_data(state, seq, self.agent.data_priority(state.flow))
+            pkt = self._make_data(state, token.seq, token.priority)
+        else:
+            seq = state.take_free_seq()
+            pkt = self._make_data(state, seq, self.agent.data_priority(state.flow))
+        if len(candidates) == 1 and not state.tokens and not state.has_free_token():
+            self.port.pull_ready = False
+        return pkt
 
     def _make_data(self, state: SourceFlowState, seq: int, priority: int) -> Packet:
         now = self.env.now
@@ -147,19 +159,20 @@ class PHostSource:
         if flow.start_time is None:
             flow.start_time = now
         self.agent.collector.data_sent(pkt, first_time)
-        if state.all_sent() and not state.ack_check_scheduled:
-            state.ack_check_scheduled = True
-            self.env.schedule_timer(2 * self.config.retx_timeout, self._ack_check, flow.fid)
+        if state.all_sent() and state.ack_timer is None:
+            state.ack_timer = self.env.schedule_timer(
+                2 * self.config.retx_timeout, self._ack_check, flow.fid
+            )
         return pkt
 
     def _ack_check(self, fid: int) -> None:
-        state = self.flows.get(fid)
-        if state is None or state.done:
-            return
+        state = self.flows[fid]  # the ACK retires the flow and cancels this
         # All packets went out at least once but no ACK: poke the
         # destination (it will re-ACK or re-grant missing packets).
         self._send_rts(state)
-        self.env.schedule_timer(2 * self.config.retx_timeout, self._ack_check, fid)
+        state.ack_timer = self.env.schedule_timer(
+            2 * self.config.retx_timeout, self._ack_check, fid
+        )
 
     # ------------------------------------------------------------------
     @property

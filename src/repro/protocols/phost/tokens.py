@@ -48,7 +48,7 @@ class SourceFlowState:
         "done",
         "got_token",
         "rts_sends",
-        "ack_check_scheduled",
+        "ack_timer",
         "tokens_received",
         "tokens_spent",
         "tokens_expired_n",
@@ -69,7 +69,7 @@ class SourceFlowState:
         self.done = False
         self.got_token = False
         self.rts_sends = 0
-        self.ack_check_scheduled = False
+        self.ack_timer: Optional[list] = None  # the ACK-check timer, once armed
         # Token-ledger counters (audited: received == spent + expired +
         # still-held, see repro.validate.tokens).
         self.tokens_received = 0

@@ -19,6 +19,7 @@ field of the flow state and the stamp a class-level flag, not methods.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Deque, Dict, Optional, Set
 
 from repro.net.packet import Flow, Packet, PacketType
@@ -92,15 +93,19 @@ class SrcFlow:
 
 class WindowFlow(SrcFlow):
     """:class:`SrcFlow` plus the window sender's state: packets in
-    flight, the window they may fill, and the RTO's backoff scale."""
+    flight, the window they may fill, the RTO's backoff scale, and the
+    deadline (with its seq) that a re-arm has deferred the live RTO to,
+    or None."""
 
-    __slots__ = ("in_flight", "window", "rto_scale")
+    __slots__ = ("in_flight", "window", "rto_scale", "rto_at", "rto_seq")
 
     def __init__(self, flow: Flow, window: int) -> None:
         super().__init__(flow)
         self.in_flight = 0
         self.window = window
         self.rto_scale = 1.0
+        self.rto_at: Optional[float] = None
+        self.rto_seq = 0
 
 
 class _DstFlow:
@@ -282,14 +287,36 @@ class WindowAgent(ReliableAgent):
             self._arm_rto(state)
 
     def _arm_rto(self, state: WindowFlow) -> None:
-        EventLoop.cancel(state.timer)
-        state.timer = self.env.schedule_timer(
-            self.config.rto * state.rto_scale, self._on_rto, state.flow.fid
-        )
+        """(Re)start the RTO.  A live timer due no later than the new
+        deadline is deferred, not replaced: the flow keeps the deadline
+        and the seq a fresh schedule would draw, and the timer, when it
+        fires, moves itself there (:meth:`_on_rto`).  Dispatch order is
+        that of cancelling and scheduling anew; the wheel sees one
+        schedule per timer instead of one per new ACK."""
+        env = self.env
+        when = env.now + self.config.rto * state.rto_scale
+        timer = state.timer
+        if timer is not None and timer[0] <= when:
+            env._seq += 1
+            state.rto_at = when
+            state.rto_seq = env._seq
+            return
+        EventLoop.cancel(timer)
+        state.rto_at = None
+        state.timer = env.schedule_timer_at(when, self._on_rto, state.flow.fid)
 
     def _on_rto(self, fid: int) -> None:
         state = self.src_flows.get(fid)
         if state is None:
+            return
+        when = state.rto_at
+        if when is not None:
+            # Deferred: fire where the re-arm's own schedule would have.
+            env = self.env
+            state.rto_at = None
+            state.timer = [when, state.rto_seq, self._on_rto, (fid,), env]
+            heappush(env._heap, state.timer)
+            env._live += 1
             return
         state.timer = None
         self.timeouts += 1

@@ -21,13 +21,17 @@ byte-identical to a pure-heap run.  Timers due within one wheel tick or
 beyond the wheel's horizon go straight to the heap.  The tests hold the
 wheel to :meth:`schedule_at` as its reference.
 
-A sequence number is drawn when an event is scheduled, with one
-exception: a port starting to serialize a packet reserves two, s for
+A sequence number is drawn when an event is scheduled, with these
+exceptions: a port starting to serialize a packet reserves two, s for
 the end of serialization and s + 1 for the arrival (the tie rule,
-docs/SIMULATOR.md).  The loop records the seq of the event it
-dispatches (``_seq_now``; every seq once it has drained through
-``now``), so a port with no event at the end of serialization can
-still place the present against ``(busy_until, s)``.
+docs/SIMULATOR.md); a series reserves its own (:meth:`schedule_series`);
+and a window transport's RTO restarted by a new ACK reserves the seq a
+fresh schedule would draw, which the live timer takes when it fires
+early and moves itself to the new deadline.  The loop records the seq
+of the event it dispatches (``_seq_now``; every seq once it has
+drained through ``now``), so a port with no event at the end of
+serialization can still place the present against
+``(busy_until, s)``.
 
 There is one dispatch loop, :meth:`EventLoop.run`.  An installed
 profiler (:meth:`EventLoop.set_profiler`) is fed from a branch at the

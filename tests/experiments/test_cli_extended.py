@@ -30,7 +30,7 @@ def test_run_json_reports_the_events_pin_and_golden_digest(capsys):
     assert main(["--run", "phost", "websearch", "--scale", "tiny", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     goldens = json.loads((Path(__file__).parents[1] / "validate/golden_digests.json").read_text())
-    assert payload["events_processed"] == 57702
+    assert payload["events_processed"] == 54092
     assert payload["run_digest"] == goldens["fig3-tiny-phost-websearch-seed42"]
 
 

@@ -12,17 +12,21 @@ the fast path to give the same run digests:
   the arrival's seq (s + 1) in both.  The port's readers (``busy``,
   ``bytes_sent``, ``pkts_sent``, ``bytes_serialized()``) become plain
   reads of the pending serialization-done event and of counters moved
-  by it;
+  by it.  The two-event hop asks a pull source at every end of
+  serialization, so it is also the plain form of the pull port's
+  ``pull_ready`` flag;
 * :func:`use_polling_reissue` makes every pHost reissue check re-arm
   itself until its flow completes, as if a check never found the flow
   with nothing outstanding;
+* :func:`use_eager_rto` makes every window-transport RTO arm cancel
+  the live timer and schedule a new one, instead of deferring it;
 * :func:`use_heap_timers` sends every
   :meth:`~repro.sim.engine.EventLoop.schedule_timer_at` call straight to
   the heap instead of the timer wheel;
 * :class:`RetainsPackets` is a hook that does nothing but declare
   ``retains_packets``, so the runner runs without the packet pool.
 
-The first three patch classes through pytest's ``monkeypatch``, so they
+The first four patch classes through pytest's ``monkeypatch``, so they
 hold for the test that applies them and are undone after it.
 """
 
@@ -32,6 +36,7 @@ from heapq import heappush
 
 from repro.net.port import Port
 from repro.protocols.phost.destination import PHostDestination
+from repro.protocols.window import WindowAgent
 from repro.sim.engine import EventLoop
 
 
@@ -108,6 +113,19 @@ def _polling_reissue_check(self, fid):
 def use_polling_reissue(monkeypatch) -> None:
     """Keep every pHost reissue check armed until its flow completes."""
     monkeypatch.setattr(PHostDestination, "_reissue_check", _polling_reissue_check)
+
+
+def _eager_arm_rto(self, state):
+    """``WindowAgent._arm_rto`` that cancels and schedules on every arm."""
+    EventLoop.cancel(state.timer)
+    state.timer = self.env.schedule_timer(
+        self.config.rto * state.rto_scale, self._on_rto, state.flow.fid
+    )
+
+
+def use_eager_rto(monkeypatch) -> None:
+    """Restart every window-transport RTO by cancel and schedule."""
+    monkeypatch.setattr(WindowAgent, "_arm_rto", _eager_arm_rto)
 
 
 def use_heap_timers(monkeypatch) -> None:

@@ -380,3 +380,141 @@ def test_pull_timing_unchanged_by_fusion(monkeypatch):
 
     fused_t, classic_t = _one_then_two_event(monkeypatch, run)
     assert fused_t == classic_t
+
+
+# ----------------------------------------------------------------------
+# Pull on demand: ``pull_ready`` says the pull source may have work the
+# port has not pulled; while it is clear the port does not ask.
+
+
+class Supply:
+    """A pull source over a list of packets that records each pull that
+    found a packet as (time, seq of its event, packet seq) and, with
+    ``clears``, clears the port's flag when it hands out its last one."""
+
+    def __init__(self, env, port, clears=True):
+        self.env = env
+        self.port = port
+        self.clears = clears
+        self.pkts = []
+        self.asked = 0
+        self.pulled = []
+        port.pull_source = self
+
+    def __call__(self):
+        self.asked += 1
+        if not self.pkts:
+            return None
+        pkt = self.pkts.pop(0)
+        self.pulled.append((self.env.now, self.env._seq_now, pkt.seq))
+        if self.clears and not self.pkts:
+            self.port.pull_ready = False
+        return pkt
+
+    def add_and_kick(self, pkt):
+        self.pkts.append(pkt)
+        self.port.kick()
+
+
+def test_pull_source_that_clears_the_flag_is_not_asked_until_a_kick():
+    env = EventLoop()
+    port = Port(env, RATE_8, 0.5, CountingQueue())
+    sink = SeqSink(env)
+    port.connect(sink)
+    supply = Supply(env, port)
+    supply.pkts = [data_pkt(2, seq=0), data_pkt(2, seq=1)]
+    port.kick()
+    env.run()
+    # Pulled at 0 and at 2, where the last packet cleared the flag: no
+    # wake-up at 4, so two arrivals and one wake-up.
+    assert supply.asked == 2 and not port.pull_ready
+    assert env.events_processed == 3
+    env.schedule_at(10.0, supply.add_and_kick, data_pkt(2, seq=2))
+    env.run()
+    assert supply.asked == 3
+    assert [(t, pkt) for t, _, pkt in supply.pulled] == [(0.0, 0), (2.0, 1), (10.0, 2)]
+    assert [(t, pkt) for t, _, pkt in sink.got] == [(2.5, 0), (4.5, 1), (12.5, 2)]
+
+
+def test_kick_while_busy_is_pulled_at_the_end_of_serialization(monkeypatch):
+    """A kick on a busy port with no wake-up pending arms one at
+    ``(busy_until, s)``: the pull happens where the two-event hop's
+    serialization-done event makes it."""
+
+    def run():
+        env = EventLoop()
+        port = Port(env, RATE_8, 0.5, CountingQueue())
+        sink = SeqSink(env)
+        port.connect(sink)
+        supply = Supply(env, port)
+        port.kick()  # nothing to pull: the flag clears
+        port.send(data_pkt(3, seq=0))  # serializes over [0, 3]
+        armed = port._wake[2] is not None
+        env.schedule_at(1.0, supply.add_and_kick, data_pkt(2, seq=1))
+        env.run()
+        return supply.pulled, sink.got, port._tx_seq, armed
+
+    fast, model = _one_then_two_event(monkeypatch, run)
+    assert fast[:2] == model[:2]
+    pulled, got, _, armed = fast
+    assert not armed  # the fast hop had no wake-up before the kick
+    assert [(t, pkt) for t, _, pkt in pulled] == [(3.0, 1)]
+    assert [(t, pkt) for t, _, pkt in got] == [(3.5, 0), (5.5, 1)]
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_kick_at_exactly_busy_until(order, monkeypatch):
+    """A kick at the instant serialization ends, from an event ordered
+    before the end of serialization (seq s) or after it, pulls where
+    the two-event hop pulls."""
+
+    def run():
+        env = EventLoop()
+        port = Port(env, RATE_8, 0.5, CountingQueue())
+        sink = SeqSink(env)
+        port.connect(sink)
+        supply = Supply(env, port)
+        port.kick()  # nothing to pull: the flag clears
+        if order == "before":
+            env.schedule_at(3.0, supply.add_and_kick, data_pkt(2, seq=1))
+        port.send(data_pkt(3, seq=0))  # serializes over [0, 3]
+        s = port._tx_seq
+        if order == "after":
+            env.schedule_at(3.0, supply.add_and_kick, data_pkt(2, seq=1))
+        env.run()
+        return supply.pulled, sink.got, _readings(port), env._seq, s
+
+    fast, model = _one_then_two_event(monkeypatch, run)
+    assert fast == model
+    pulled, got, _, _, s = fast
+    # Before s: pulled under s; after s: pulled by the kick's own event.
+    assert pulled[0][:2] == ((3.0, s) if order == "before" else (3.0, s + 2))
+    assert [(t, pkt) for t, _, pkt in got] == [(3.5, 0), (5.5, 1)]
+
+
+def test_control_packet_on_an_idle_phost_nic_is_one_event(monkeypatch):
+    """Once a pull has found nothing, a control packet that starts on
+    the idle pHost NIC costs its arrival only; the two-event hop also
+    spends a serialization-done event that pulls nothing."""
+    from repro.experiments.runner import build_simulation
+    from repro.experiments.spec import ExperimentSpec
+    from repro.net.topology import TopologyConfig
+
+    def run():
+        spec = ExperimentSpec(
+            protocol="phost", workload="fixed:1460", n_flows=1, topology=TopologyConfig.small()
+        )
+        ctx = build_simulation(spec)
+        agent = ctx.fabric.hosts[0].agent
+        port = agent.host.port
+        sink = Sink()
+        port.connect(sink)
+        port.kick()  # no flows: the pull finds nothing
+        ack = agent.pool.control(PacketType.ACK, None, 0, 0, 1, 0.0)
+        agent.send_control(ack)
+        ctx.env.run()
+        return sink.received == [ack], ctx.env.events_processed
+
+    fast, model = _one_then_two_event(monkeypatch, run)
+    assert fast == (True, 1)
+    assert model == (True, 2)

@@ -18,6 +18,7 @@ from repro.sim.randoms import SeededRng
 from repro.validate import run_digest
 from tests.net.models import (
     RetainsPackets,
+    use_eager_rto,
     use_heap_timers,
     use_polling_reissue,
     use_two_event_hop,
@@ -26,20 +27,27 @@ from tests.net.models import (
 PROTOCOLS = ["phost", "pfabric", "fastpass", "ideal", "dctcp"]
 
 #: The hot paths' plain references (tests/net/models.py).
-REFERENCES = ("no-wheel", "no-fusion", "no-pool", "polling-reissue")
+REFERENCES = ("no-wheel", "no-fusion", "no-pool", "polling-reissue", "eager-rto")
+
+#: The protocols a reference's one-at-a-time arm runs, where not pHost:
+#: pHost has no RTO, so the RTO's arm runs the window transports.
+ARM_PROTOCOLS = {"eager-rto": ("pfabric", "dctcp")}
 
 
 def plain_digest(spec, monkeypatch, references=REFERENCES) -> str:
     """Digest of ``spec`` run with the named hot paths swapped for
     their plain forms: timers on the heap, two events per hop, no
-    packet pool, and pHost reissue checks that always re-arm.  Patches
-    hold until the calling test ends."""
+    packet pool, pHost reissue checks that always re-arm, and window
+    RTOs cancelled and scheduled anew on every arm.  Patches hold
+    until the calling test ends."""
     if "no-wheel" in references:
         use_heap_timers(monkeypatch)
     if "no-fusion" in references:
         use_two_event_hop(monkeypatch)
     if "polling-reissue" in references:
         use_polling_reissue(monkeypatch)
+    if "eager-rto" in references:
+        use_eager_rto(monkeypatch)
     if "no-pool" in references:
         spec = spec.variant(instruments=spec.instruments + (RetainsPackets(),))
     result = run_experiment(spec)
@@ -106,9 +114,9 @@ def test_protocols_produce_distinct_digests():
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_tuning_knobs_do_not_change_behaviour(protocol, seed, monkeypatch):
     """The hot paths (timer wheel, one-event hop, packet pooling, the
-    pHost reissue poll) are pure performance: with all four swapped for
-    their plain forms the digest must be byte-identical to the real
-    run's."""
+    pHost reissue poll, the deferred RTO) are pure performance: with
+    all five swapped for their plain forms the digest must be
+    byte-identical to the real run's."""
     expected = digest_of(protocol, seed)  # computed before any patch
     assert plain_digest(spec(protocol, seed), monkeypatch) == expected
 
@@ -117,8 +125,9 @@ def test_tuning_knobs_do_not_change_behaviour(protocol, seed, monkeypatch):
 def test_each_tuning_knob_is_independently_inert(reference, monkeypatch):
     """Swap one hot path at a time: any digest drift localizes the
     misbehaving fast path immediately."""
-    expected = digest_of("phost", 5)
-    assert plain_digest(spec("phost", 5), monkeypatch, (reference,)) == expected
+    for protocol in ARM_PROTOCOLS.get(reference, ("phost",)):
+        expected = digest_of(protocol, 5)
+        assert plain_digest(spec(protocol, 5), monkeypatch, (reference,)) == expected
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.validate import incast_digest, run_digest, standard_auditors
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 
 #: Events dispatched by the bare fig3-tiny pHost seed-42 run.
-FIG3_TINY_PHOST_EVENTS = 57702
+FIG3_TINY_PHOST_EVENTS = 54092
 
 
 def _fig3_tiny(instruments=(), protocol="phost"):
